@@ -50,30 +50,37 @@ const (
 // GatherYInto is GatherY into a caller-provided full array of length
 // nx·ny·nz (every element is overwritten).
 func GatherYInto(full []complex128, slabs [][]complex128, nx, ny, nz, p int, fast bool) {
-	if len(full) != nx*ny*nz {
-		panic(fmt.Sprintf("layout: GatherY: full array length %d != %d", len(full), nx*ny*nz))
-	}
 	for r := 0; r < p; r++ {
 		g, err := NewGrid(nx, ny, nz, p, r)
 		if err != nil {
 			panic(err)
 		}
-		slab := slabs[r]
-		if len(slab) < g.OutSize() {
-			panic(fmt.Sprintf("layout: GatherY: rank %d slab length %d < %d", r, len(slab), g.OutSize()))
-		}
-		y0, yc := g.Y0(), g.YC()
-		for ly := 0; ly < yc; ly++ {
-			y := y0 + ly
-			for xb := 0; xb < nx; xb += assembleTileX {
-				x1 := min(xb+assembleTileX, nx)
-				for zb := 0; zb < nz; zb += assembleTileZ {
-					z1 := min(zb+assembleTileZ, nz)
-					for x := xb; x < x1; x++ {
-						fb := (x*ny + y) * nz
-						for z := zb; z < z1; z++ {
-							full[fb+z] = slab[g.RowXBase(fast, ly, z)+x]
-						}
+		GatherYRankInto(full, slabs[r], g, fast)
+	}
+}
+
+// GatherYRankInto writes rank g.Rank's output y-slab into its y-planes of
+// the full array (length Nx·Ny·Nz, x-y-z layout). Ranks write disjoint
+// elements, so all of them may gather into one array concurrently.
+func GatherYRankInto(full, slab []complex128, g Grid, fast bool) {
+	nx, ny, nz := g.Nx, g.Ny, g.Nz
+	if len(full) != nx*ny*nz {
+		panic(fmt.Sprintf("layout: GatherY: full array length %d != %d", len(full), nx*ny*nz))
+	}
+	if len(slab) < g.OutSize() {
+		panic(fmt.Sprintf("layout: GatherY: rank %d slab length %d < %d", g.Rank, len(slab), g.OutSize()))
+	}
+	y0, yc := g.Y0(), g.YC()
+	for ly := 0; ly < yc; ly++ {
+		y := y0 + ly
+		for xb := 0; xb < nx; xb += assembleTileX {
+			x1 := min(xb+assembleTileX, nx)
+			for zb := 0; zb < nz; zb += assembleTileZ {
+				z1 := min(zb+assembleTileZ, nz)
+				for x := xb; x < x1; x++ {
+					fb := (x*ny + y) * nz
+					for z := zb; z < z1; z++ {
+						full[fb+z] = slab[g.RowXBase(fast, ly, z)+x]
 					}
 				}
 			}
@@ -128,16 +135,22 @@ func GatherX(slabs [][]complex128, nx, ny, nz, p int) []complex128 {
 // GatherXInto is GatherX into a caller-provided full array of length
 // nx·ny·nz (every element is overwritten).
 func GatherXInto(full []complex128, slabs [][]complex128, nx, ny, nz, p int) {
-	if len(full) != nx*ny*nz {
-		panic(fmt.Sprintf("layout: GatherX: full array length %d != %d", len(full), nx*ny*nz))
-	}
 	for r := 0; r < p; r++ {
 		g, err := NewGrid(nx, ny, nz, p, r)
 		if err != nil {
 			panic(err)
 		}
-		x0 := g.X0()
-		n := g.XC() * ny * nz
-		copy(full[x0*ny*nz:x0*ny*nz+n], slabs[r][:n])
+		GatherXRankInto(full, slabs[r], g)
 	}
+}
+
+// GatherXRankInto copies rank g.Rank's input x-slab into its contiguous
+// x-planes of the full array (length Nx·Ny·Nz, x-y-z layout). Ranks write
+// disjoint ranges, so all of them may gather into one array concurrently.
+func GatherXRankInto(full, slab []complex128, g Grid) {
+	if len(full) != g.Nx*g.Ny*g.Nz {
+		panic(fmt.Sprintf("layout: GatherX: full array length %d != %d", len(full), g.Nx*g.Ny*g.Nz))
+	}
+	off, n := g.X0()*g.Ny*g.Nz, g.InSize()
+	copy(full[off:off+n], slab[:n])
 }

@@ -116,6 +116,12 @@ type World struct {
 	outstanding map[int64]*outMsg
 	seen        []map[int64]struct{}
 
+	// free holds released direct-path payload buffers by length, for send
+	// to reuse (see Comm.Release). Senders draw from it before allocating,
+	// so per length the world owns no more buffers than were ever in
+	// flight at once.
+	free map[int][][]complex128
+
 	stats counters
 
 	barGen   int
@@ -141,6 +147,7 @@ func NewWorld(p int, opts ...Option) *World {
 		rto:         3 * time.Millisecond,
 		hangTimeout: defaultWatchdog,
 		outstanding: make(map[int64]*outMsg),
+		free:        make(map[int][][]complex128),
 	}
 	w.conds = make([]*sync.Cond, p)
 	w.boxes = make([]map[mkey][]message, p)
@@ -356,6 +363,14 @@ func (c *Comm) Send(dst, tag int, data []complex128) {
 // TryClaim removes and returns the first mailbox message from (src, tag).
 func (c *Comm) TryClaim(src, tag int) ([]complex128, bool) {
 	return c.world.tryClaim(c.rank, mkey{src, tag})
+}
+
+// Release returns a claimed payload to the world's free list, where the
+// next send of the same length picks it up instead of allocating. Under
+// an active fault plan it is a no-op: an envelope's payload may still be
+// retransmitted or duplicated after delivery, so it is never recycled.
+func (c *Comm) Release(data []complex128) {
+	c.world.release(data)
 }
 
 // Queued reports whether a message from (src, tag) is in the mailbox.

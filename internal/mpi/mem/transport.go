@@ -49,16 +49,19 @@ const maxBackoff = 4
 
 // send routes one block from src to dst, copying the payload at call time
 // (eager-buffered semantics). Without an active fault plan it takes the
-// direct path (immediate or delay-timed deposit); with one, every message
-// goes through the retransmitting envelope transport.
+// direct path (immediate or delay-timed deposit) and copies into a
+// recycled buffer; with one, every message goes through the retransmitting
+// envelope transport and gets a fresh copy.
 func (w *World) send(src, dst, tag int, block []complex128) {
-	data := make([]complex128, len(block))
-	copy(data, block)
 	w.stats.sent.Add(1)
 	if w.plan.Active() {
+		data := make([]complex128, len(block))
+		copy(data, block)
 		w.sendEnvelope(src, dst, tag, data)
 		return
 	}
+	data := w.buffer(len(block))
+	copy(data, block)
 	k := mkey{src, tag}
 	if !w.delayed {
 		w.deposit(dst, k, message{data: data})
@@ -80,6 +83,33 @@ func (w *World) send(src, dst, tag int, block []complex128) {
 		}
 		w.mu.Unlock()
 	})
+}
+
+// buffer returns a direct-path payload buffer of length n, reusing a
+// released one when the free list has it.
+func (w *World) buffer(n int) []complex128 {
+	w.mu.Lock()
+	if bufs := w.free[n]; len(bufs) > 0 {
+		b := bufs[len(bufs)-1]
+		bufs[len(bufs)-1] = nil
+		w.free[n] = bufs[:len(bufs)-1]
+		w.mu.Unlock()
+		return b
+	}
+	w.mu.Unlock()
+	return make([]complex128, n)
+}
+
+// release files a claimed direct-path payload for reuse by buffer.
+// Envelope payloads are never recycled: the retransmit timer or an
+// injected duplicate may still read one after it was claimed.
+func (w *World) release(data []complex128) {
+	if w.plan.Active() {
+		return
+	}
+	w.mu.Lock()
+	w.free[len(data)] = append(w.free[len(data)], data)
+	w.mu.Unlock()
 }
 
 // deposit delivers a message to dst's mailbox immediately.

@@ -383,6 +383,10 @@ func (c *Comm) TryClaim(src, tag int) ([]complex128, bool) {
 	return c.w.tryClaim(mkey{src, tag})
 }
 
+// Release is a no-op: every inbound payload is a fresh buffer decoded off
+// the wire, which the garbage collector reclaims once the schedule drops it.
+func (c *Comm) Release([]complex128) {}
+
 // Queued reports whether a message from (src, tag) is in the mailbox.
 // Called with w.mu held (the wait loop's park predicate).
 func (c *Comm) Queued(src, tag int) bool {

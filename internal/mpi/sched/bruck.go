@@ -12,11 +12,20 @@ func bruckRounds(p int) int {
 }
 
 // bruckBlock is one block in flight through the Bruck store-and-forward
-// pipeline. data aliases either the caller's frozen send buffer (round 0)
-// or a claimed mailbox payload this rank owns.
+// pipeline. data aliases either the caller's frozen send buffer (round −1)
+// or the claimed packet of the given round, which this rank owns until
+// every block carved from it has been placed or re-sent.
 type bruckBlock struct {
 	origin, dest int
+	round        int
 	data         []complex128
+}
+
+// bruckPacket is a claimed round packet and the number of held blocks
+// still aliasing it; it is released when that count reaches zero.
+type bruckPacket struct {
+	data []complex128
+	live int
 }
 
 // bruckRequest advances one rank through the ⌈log2 p⌉ Bruck rounds. A
@@ -37,6 +46,7 @@ type bruckRequest struct {
 	offsets    []int
 	remaining  int // foreign blocks not yet placed into recv
 	hold       []bruckBlock
+	packets    []bruckPacket // claimed packet of each processed round
 }
 
 func postBruck(port Port, send []complex128, sendCounts, soff []int, recv []complex128, recvCounts, offsets []int) *bruckRequest {
@@ -45,11 +55,12 @@ func postBruck(port Port, send []complex128, sendCounts, soff []int, recv []comp
 	req := &bruckRequest{
 		port: port, baseTag: port.NextTags(rounds), rounds: rounds,
 		recv: recv, recvCounts: append([]int(nil), recvCounts...), offsets: offsets,
+		packets: make([]bruckPacket, rounds),
 	}
 	for i := 1; i < p; i++ {
 		d := (rank + i) % p
 		if sendCounts[d] > 0 {
-			req.hold = append(req.hold, bruckBlock{origin: rank, dest: d, data: send[soff[d] : soff[d]+sendCounts[d]]})
+			req.hold = append(req.hold, bruckBlock{origin: rank, dest: d, round: -1, data: send[soff[d] : soff[d]+sendCounts[d]]})
 		}
 		if req.recvCounts[d] > 0 {
 			req.remaining++
@@ -88,16 +99,32 @@ func (r *bruckRequest) sendRound(k int) {
 		pos += 2
 		copy(pkt[pos:pos+len(b.data)], b.data)
 		pos += len(b.data)
+		if b.round >= 0 {
+			r.unref(b.round)
+		}
 	}
 	r.hold = keep
 	port.Send((rank+(1<<k))%p, r.baseTag+k, pkt)
 }
 
+// unref drops one held block's claim on round k's packet, releasing the
+// packet once nothing aliases it.
+func (r *bruckRequest) unref(k int) {
+	pk := &r.packets[k]
+	pk.live--
+	if pk.live == 0 {
+		r.port.Release(pk.data)
+		pk.data = nil
+	}
+}
+
 // processRound splits round k's inbound packet into blocks that arrived
-// (distance 0: copy into recv) and blocks to keep forwarding.
-func (r *bruckRequest) processRound(data []complex128) {
+// (distance 0: copy into recv) and blocks to keep forwarding, which keep
+// the packet claimed until they are re-sent.
+func (r *bruckRequest) processRound(k int, data []complex128) {
 	port := r.port
 	p, rank := port.Size(), port.Rank()
+	held := len(r.hold)
 	n := int(real(data[0]))
 	pos := 1
 	for i := 0; i < n; i++ {
@@ -117,8 +144,13 @@ func (r *bruckRequest) processRound(data []complex128) {
 			if (dest-rank+p)%p == 0 {
 				panic(fmt.Sprintf("mpi/sched: bruck: rank %d holding misrouted block %d→%d", rank, origin, dest))
 			}
-			r.hold = append(r.hold, bruckBlock{origin: origin, dest: dest, data: payload})
+			r.hold = append(r.hold, bruckBlock{origin: origin, dest: dest, round: k, data: payload})
 		}
+	}
+	if live := len(r.hold) - held; live > 0 {
+		r.packets[k] = bruckPacket{data: data, live: live}
+	} else {
+		r.port.Release(data)
 	}
 }
 
@@ -131,7 +163,7 @@ func (r *bruckRequest) Drain() bool {
 		if !ok {
 			return false
 		}
-		r.processRound(data)
+		r.processRound(r.round, data)
 		r.round++
 		if r.round < r.rounds {
 			r.sendRound(r.round)

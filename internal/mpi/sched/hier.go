@@ -42,10 +42,11 @@ type hierRequest struct {
 
 	// Leader-only state.
 	isLeader        bool
-	stage           int          // 0 awaiting gathers, 1 awaiting exchanges, 2 all sends out
-	gatherPending   map[int]bool // members whose gather packet is missing
-	exchangePending map[int]bool // peer leaders whose packet is missing
-	pool            []hierBlock  // staged blocks (outbound in stage 0, scatter in stage 1)
+	stage           int            // 0 awaiting gathers, 1 awaiting exchanges, 2 all sends out
+	gatherPending   map[int]bool   // members whose gather packet is missing
+	exchangePending map[int]bool   // peer leaders whose packet is missing
+	pool            []hierBlock    // staged blocks (outbound in stage 0, scatter in stage 1)
+	claimed         [][]complex128 // claimed packets the pool aliases, released on flush
 
 	// Member-only state.
 	scatterDone bool
@@ -187,8 +188,19 @@ func (r *hierRequest) sendExchange() {
 		}
 		port.Send(n*ns, r.baseTag+hierExchange, pkt)
 	}
-	r.pool = r.pool[:0]
+	r.flushPool()
 	r.stage = 1
+}
+
+// flushPool empties the pool once its blocks have been re-sent and
+// releases the claimed packets they were carved from.
+func (r *hierRequest) flushPool() {
+	r.pool = r.pool[:0]
+	for i, data := range r.claimed {
+		r.port.Release(data)
+		r.claimed[i] = nil
+	}
+	r.claimed = r.claimed[:0]
 }
 
 // sendScatter forwards the blocks received for this node's members
@@ -218,7 +230,7 @@ func (r *hierRequest) sendScatter() {
 		}
 		port.Send(m, r.baseTag+hierScatter, pkt)
 	}
-	r.pool = r.pool[:0]
+	r.flushPool()
 	r.stage = 2
 }
 
@@ -227,6 +239,7 @@ func (r *hierRequest) Drain() bool {
 	for q := range r.directPending {
 		if data, ok := port.TryClaim(q, r.baseTag+hierDirect); ok {
 			r.place(q, data)
+			port.Release(data)
 			delete(r.directPending, q)
 		}
 	}
@@ -246,6 +259,7 @@ func (r *hierRequest) Drain() bool {
 					r.pool = append(r.pool, hierBlock{origin: m, dest: dest, data: data[pos : pos+ln]})
 					pos += ln
 				}
+				r.claimed = append(r.claimed, data)
 				delete(r.gatherPending, m)
 			}
 			if len(r.gatherPending) == 0 {
@@ -273,6 +287,7 @@ func (r *hierRequest) Drain() bool {
 						r.pool = append(r.pool, hierBlock{origin: origin, dest: dest, data: payload})
 					}
 				}
+				r.claimed = append(r.claimed, data)
 				delete(r.exchangePending, l)
 			}
 			if len(r.exchangePending) == 0 {
@@ -296,6 +311,7 @@ func (r *hierRequest) Drain() bool {
 				r.place(origin, data[pos:pos+ln])
 				pos += ln
 			}
+			port.Release(data)
 			r.scatterDone = true
 		}
 	}

@@ -28,6 +28,13 @@ import (
 // Port is the engine surface a schedule runs against: one rank's sending,
 // claiming and scratch facilities. All methods are called only by the
 // owning rank's goroutine.
+//
+// A payload's lifecycle is Send → TryClaim → Release: Send copies the
+// caller's block into a transport-owned buffer, TryClaim hands that buffer
+// to the receiving schedule, and the schedule gives it back with Release
+// once it has copied every block out of it (or re-sent it). An engine may
+// recycle released buffers for later sends, so a schedule must not read a
+// payload after releasing it.
 type Port interface {
 	// Rank and Size identify this rank within its world.
 	Rank() int
@@ -37,11 +44,16 @@ type Port interface {
 	// reserves the same tags for the same collective).
 	NextTags(n int) int
 	// Send hands one block to the transport. The payload is copied at call
-	// time (eager-buffered semantics).
+	// time (eager-buffered semantics), so data may be reused on return.
 	Send(dst, tag int, data []complex128)
 	// TryClaim removes and returns the first mailbox message from (src,
-	// tag), if one has arrived.
+	// tag), if one has arrived. The schedule owns the returned payload
+	// until it passes it to Release.
 	TryClaim(src, tag int) ([]complex128, bool)
+	// Release returns a payload obtained from TryClaim, exactly once, after
+	// its last use. The slice must be the one TryClaim returned (not a
+	// sub-slice); the engine may hand its storage to a later Send.
+	Release(data []complex128)
 	// Queued reports whether a message from (src, tag) is in the mailbox.
 	// Called with the engine's park lock held (the wait predicate).
 	Queued(src, tag int) bool
@@ -144,7 +156,7 @@ type pairRequest struct {
 	recv       []complex128
 	recvCounts []int
 	offsets    []int
-	pending    map[int]bool // source ranks not yet copied in
+	pending    []int // source ranks not yet copied in
 }
 
 // postPairwise is the historical eager schedule: every peer's block is
@@ -172,10 +184,10 @@ func postPairwise(port Port, send []complex128, sendCounts, soff []int, recv []c
 func newPairRequest(port Port, tag int, recv []complex128, recvCounts, offsets []int) *pairRequest {
 	p := port.Size()
 	rc := append([]int(nil), recvCounts...)
-	req := &pairRequest{port: port, tag: tag, recv: recv, recvCounts: rc, offsets: offsets, pending: make(map[int]bool, p)}
+	req := &pairRequest{port: port, tag: tag, recv: recv, recvCounts: rc, offsets: offsets, pending: make([]int, 0, p)}
 	for s := 0; s < p; s++ {
 		if s != port.Rank() && rc[s] > 0 {
-			req.pending[s] = true
+			req.pending = append(req.pending, s)
 		}
 	}
 	return req
@@ -185,21 +197,28 @@ func newPairRequest(port Port, tag int, recv []complex128, recvCounts, offsets [
 // receive buffer. Returns true when the request is complete.
 func (req *pairRequest) Drain() bool {
 	port := req.port
-	for s := range req.pending {
-		if data, ok := port.TryClaim(s, req.tag); ok {
-			if len(data) != req.recvCounts[s] {
-				panic(fmt.Sprintf("mpi/sched: rank %d got %d elements from %d, want %d", port.Rank(), len(data), s, req.recvCounts[s]))
-			}
-			copy(req.recv[req.offsets[s]:req.offsets[s]+len(data)], data)
-			delete(req.pending, s)
+	for i := 0; i < len(req.pending); {
+		s := req.pending[i]
+		data, ok := port.TryClaim(s, req.tag)
+		if !ok {
+			i++
+			continue
 		}
+		if len(data) != req.recvCounts[s] {
+			panic(fmt.Sprintf("mpi/sched: rank %d got %d elements from %d, want %d", port.Rank(), len(data), s, req.recvCounts[s]))
+		}
+		copy(req.recv[req.offsets[s]:req.offsets[s]+len(data)], data)
+		port.Release(data)
+		last := len(req.pending) - 1
+		req.pending[i] = req.pending[last]
+		req.pending = req.pending[:last]
 	}
 	return len(req.pending) == 0
 }
 
 // Queued reports whether any pending source's block is in the mailbox.
 func (req *pairRequest) Queued() bool {
-	for s := range req.pending {
+	for _, s := range req.pending {
 		if req.port.Queued(s, req.tag) {
 			return true
 		}
@@ -212,11 +231,7 @@ func (req *pairRequest) Missing() (seqs, from []int) {
 	if len(req.pending) == 0 {
 		return nil, nil
 	}
-	seqs = []int{req.tag}
-	for s := range req.pending {
-		from = append(from, s)
-	}
-	return seqs, from
+	return []int{req.tag}, append([]int(nil), req.pending...)
 }
 
 // ---- windowed pairwise -----------------------------------------------------

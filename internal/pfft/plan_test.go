@@ -211,8 +211,10 @@ func TestForwardManyPooledRace(t *testing.T) {
 
 // selfComm is a zero-allocation single-rank communicator: the all-to-all
 // is a direct copy and the request is a shared sentinel. It isolates the
-// plan's own allocation behavior from the mem transport (whose envelopes
-// allocate by design).
+// plan's own allocation behavior from the transport: a real mem world
+// still allocates a few small objects per collective (the request and its
+// bookkeeping), though not its payloads, which it recycles. The root
+// package's TestPlanIntoSteadyStateBytes gates that path in bytes/op.
 type selfComm struct {
 	now int64
 	req selfReq

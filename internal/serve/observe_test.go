@@ -70,8 +70,15 @@ func TestObserveRequestSpanTree(t *testing.T) {
 				t.Fatal("response carries no request ID")
 			}
 
+			// The record is filed by the handler's deferred finish, after
+			// the response body is written: poll briefly for it.
 			var rec telemetry.RequestRecord
-			if code := getJSON(t, ts.URL+"/debug/requests/"+resp.RequestID, &rec); code != http.StatusOK {
+			code = getJSON(t, ts.URL+"/debug/requests/"+resp.RequestID, &rec)
+			for deadline := time.Now().Add(2 * time.Second); code == http.StatusNotFound && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+				code = getJSON(t, ts.URL+"/debug/requests/"+resp.RequestID, &rec)
+			}
+			if code != http.StatusOK {
 				t.Fatalf("/debug/requests/{id}: HTTP %d — request not captured", code)
 			}
 
@@ -235,7 +242,13 @@ func TestObserveSLOAccounting(t *testing.T) {
 			t.Fatalf("transform %d: HTTP %d: %s", i, code, emsg)
 		}
 	}
+	// Like the flight record, the SLO observation is filed by the
+	// handler's deferred finish, after the last response body is written.
 	snap := s.SLO().Snapshot()
+	for deadline := time.Now().Add(2 * time.Second); snap.Total < 3 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		snap = s.SLO().Snapshot()
+	}
 	if snap.Total != 3 || snap.Bad != 3 {
 		t.Fatalf("slo total/bad = %d/%d, want 3/3", snap.Total, snap.Bad)
 	}
@@ -304,8 +317,13 @@ func TestObserveRequestIDEcho(t *testing.T) {
 	if got := hres.Header.Get("X-Request-Id"); got != "my-trace-42" {
 		t.Fatalf("echoed ID = %q", got)
 	}
-	if s.Flight().Get("my-trace-42") == nil {
-		t.Fatal("client-supplied ID not used as the flight-recorder key")
+	// The flight record is filed by the handler's deferred finish, after
+	// the response body is written, so the client can get here first.
+	for deadline := time.Now().Add(2 * time.Second); s.Flight().Get("my-trace-42") == nil; {
+		if time.Now().After(deadline) {
+			t.Fatal("client-supplied ID not used as the flight-recorder key")
+		}
+		time.Sleep(time.Millisecond)
 	}
 
 	// Minted IDs are unique across requests.

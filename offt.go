@@ -415,8 +415,8 @@ type Plan struct {
 	bds     []Breakdown
 	errs    []error
 	traces  [][]StepEvent // per-rank timelines of the last execution (WithTrace)
-	fullFwd []complex128  // reusable gathered spectrum
-	fullBwd []complex128  // reusable gathered backward result
+	fullFwd []complex128  // reusable gathered spectrum (lazy)
+	fullBwd []complex128  // reusable gathered backward result (lazy)
 
 	// spanScratch is the reusable staging slice for emitExecSpans: the
 	// span batch is assembled here (under the execution lock) and copied
@@ -540,7 +540,6 @@ func (p *Plan) startWorld(prm Params) error {
 			p.slabs[r] = make([]complex128, p.grids[r].InSize())
 		}
 	}
-	p.fullFwd = make([]complex128, p.cfg.nx*p.cfg.ny*p.cfg.nz)
 	p.cfg.params = &prm
 
 	var popts []pfft.PlanOpt
@@ -738,6 +737,11 @@ func (p *Plan) ForwardInto(dst, data []complex128) error {
 // rank-averaged per-step breakdown, and the downgrades this execution
 // (not the plan lifetime) took. The serve layer forwards these into the
 // flight recorder and per-request responses.
+//
+// The stages run one after another, so the three stage times are wall
+// times that add up to (nearly all of) TotalNs. Scatter and gather each
+// run p-wide — every rank's share on its own goroutine at once — so they
+// measure the slowest rank's copy, not the sum over ranks.
 type ExecStats struct {
 	TotalNs    int64
 	ScatterNs  int64
@@ -929,34 +933,71 @@ func (p *Plan) forwardLockedInto(dst, data []complex128, obs *execObs) ([]comple
 	if len(data) != p.cfg.nx*p.cfg.ny*p.cfg.nz {
 		return nil, fmt.Errorf("offt: data length %d, want %d", len(data), p.cfg.nx*p.cfg.ny*p.cfg.nz)
 	}
-	obs.stage("scatter", func() error {
-		for r := 0; r < p.cfg.ranks; r++ {
-			if p.desc.Decomp == Pencil {
-				pencil.ScatterPencilInto(p.slabs[r], data, p.pgrids[r])
-			} else {
-				layout.ScatterXInto(p.slabs[r], data, p.grids[r])
-			}
-		}
-		return nil
-	})
+	obs.stage("scatter", func() error { p.scatter(opForward, data); return nil })
 	if err := obs.stage("dispatch", func() error { return p.dispatch(opForward) }); err != nil {
 		return nil, err
 	}
 	p.emitExecSpans(obs)
 	if dst == nil {
+		if p.fullFwd == nil {
+			p.fullFwd = make([]complex128, p.cfg.nx*p.cfg.ny*p.cfg.nz)
+		}
 		dst = p.fullFwd
 	}
-	err := obs.stage("gather", func() error {
-		if p.desc.Decomp == Pencil {
-			for r := 0; r < p.cfg.ranks; r++ {
-				pencil.GatherPencilInto(dst, p.outs[r], p.pgrids[r])
-			}
-			return nil
+	obs.stage("gather", func() error { p.gather(opForward, dst); return nil })
+	return dst, nil
+}
+
+// scatter copies every rank's share of the full array data into the
+// rank's input slab for op, all ranks at once.
+func (p *Plan) scatter(op jobOp, data []complex128) {
+	p.eachRank(func(r int) {
+		switch {
+		case op == opForward && p.desc.Decomp == Pencil:
+			pencil.ScatterPencilInto(p.slabs[r], data, p.pgrids[r])
+		case op == opForward:
+			layout.ScatterXInto(p.slabs[r], data, p.grids[r])
+		case p.desc.Decomp == Pencil:
+			pencil.ScatterSpectrumInto(p.bslabs[r], data, p.pgrids[r])
+		default:
+			layout.ScatterYInto(p.bslabs[r], data, p.grids[r], p.fast)
 		}
-		layout.GatherYInto(dst, p.outs, p.cfg.nx, p.cfg.ny, p.cfg.nz, p.cfg.ranks, p.fast)
-		return nil
 	})
-	return dst, err
+}
+
+// gather assembles every rank's result of op into the full array dst, all
+// ranks at once.
+func (p *Plan) gather(op jobOp, dst []complex128) {
+	p.eachRank(func(r int) {
+		switch {
+		case op == opForward && p.desc.Decomp == Pencil:
+			pencil.GatherPencilInto(dst, p.outs[r], p.pgrids[r])
+		case op == opForward:
+			layout.GatherYRankInto(dst, p.outs[r], p.grids[r], p.fast)
+		case p.desc.Decomp == Pencil:
+			pencil.GatherInputInto(dst, p.outs[r], p.pgrids[r])
+		default:
+			layout.GatherXRankInto(dst, p.outs[r], p.grids[r])
+		}
+	})
+}
+
+// eachRank runs fn(r) for every rank at once, one goroutine per rank (the
+// caller's goroutine takes the last), and returns when all are done. The
+// scatter and gather stages use it: each rank's share touches a disjoint
+// region of the full array and its own slab, so they need no locking.
+func (p *Plan) eachRank(fn func(r int)) {
+	last := p.cfg.ranks - 1
+	var wg sync.WaitGroup
+	wg.Add(last)
+	for r := 0; r < last; r++ {
+		go func() {
+			defer wg.Done()
+			fn(r)
+		}()
+	}
+	fn(last)
+	wg.Wait()
 }
 
 // simulatePencil charges one pencil transform on the machine model: the
@@ -1046,31 +1087,13 @@ func (p *Plan) backwardLockedInto(dst, data []complex128, obs *execObs) ([]compl
 		}
 		dst = p.fullBwd
 	}
-	obs.stage("scatter", func() error {
-		for r := 0; r < p.cfg.ranks; r++ {
-			if p.desc.Decomp == Pencil {
-				pencil.ScatterSpectrumInto(p.bslabs[r], data, p.pgrids[r])
-			} else {
-				layout.ScatterYInto(p.bslabs[r], data, p.grids[r], p.fast)
-			}
-		}
-		return nil
-	})
+	obs.stage("scatter", func() error { p.scatter(opBackward, data); return nil })
 	if err := obs.stage("dispatch", func() error { return p.dispatch(opBackward) }); err != nil {
 		return nil, err
 	}
 	p.emitExecSpans(obs)
-	err := obs.stage("gather", func() error {
-		if p.desc.Decomp == Pencil {
-			for r := 0; r < p.cfg.ranks; r++ {
-				pencil.GatherInputInto(dst, p.outs[r], p.pgrids[r])
-			}
-			return nil
-		}
-		layout.GatherXInto(dst, p.outs, p.cfg.nx, p.cfg.ny, p.cfg.nz, p.cfg.ranks)
-		return nil
-	})
-	return dst, err
+	obs.stage("gather", func() error { p.gather(opBackward, dst); return nil })
+	return dst, nil
 }
 
 // worldCheck fails an execution fast when the plan's world is already
