@@ -175,12 +175,8 @@ func main() {
 }
 
 // runPencil drives the 2-D pencil decomposition through the public plan
-// API (the slab paths below predate it and keep their low-level plumbing
-// for -timeline/-trace-out support, which needs the slab trace engine).
+// API; -timeline and -trace-out trace through the plan on the mem engine.
 func runPencil(engine, machName string, p, pr, n int, variant pfft.Variant, applyOverrides func(*pfft.Params), verify, timeline bool, fplan *fault.Plan, obs *telemetry.CLI) {
-	if timeline || obs.TraceOut != "" {
-		fmt.Fprintln(os.Stderr, "warning: -timeline/-trace-out need the slab trace engine; ignored for -decomp pencil")
-	}
 	var ek offt.EngineKind
 	switch engine {
 	case "sim":
@@ -209,6 +205,12 @@ func runPencil(engine, machName string, p, pr, n int, variant pfft.Variant, appl
 	opts := append(base, offt.WithParams(prm), offt.WithTelemetry(obs.Registry()))
 	if fplan.Active() {
 		opts = append(opts, offt.WithFaultPlan(fplan))
+	}
+	tracing := timeline || obs.TraceOut != ""
+	if tracing && ek == offt.Sim {
+		fmt.Fprintln(os.Stderr, "warning: -timeline/-trace-out need per-rank step events; only the mem engine records them (ignored for sim)")
+	} else if tracing {
+		opts = append(opts, offt.WithTrace())
 	}
 	pl, err := offt.NewPlan(opts...)
 	if err != nil {
@@ -245,6 +247,9 @@ func runPencil(engine, machName string, p, pr, n int, variant pfft.Variant, appl
 	if fplan.Active() {
 		fmt.Printf("overlapped→blocking downgrades: %d\n", pl.Downgrades())
 	}
+	if tracing {
+		writeTraces(pl.TraceEvents(), timeline, obs)
+	}
 	if verify {
 		ref := append([]complex128(nil), full...)
 		fft.NewPlan3D(n, n, n, fft.Forward).Transform(ref)
@@ -259,6 +264,23 @@ func runPencil(engine, machName string, p, pr, n int, variant pfft.Variant, appl
 			fatal(fmt.Errorf("verification FAILED"))
 		}
 		fmt.Println("verification PASSED")
+	}
+}
+
+// writeTraces prints rank 0's Fig-3-style timeline (-timeline) and writes
+// every rank's steps as Chrome trace-event JSON (-trace-out).
+func writeTraces(traces [][]pfft.StepEvent, timeline bool, obs *telemetry.CLI) {
+	if timeline {
+		fmt.Println("rank 0 timeline (digits = tile index mod 10):")
+		pfft.RenderTimeline(os.Stdout, traces[0], 100)
+	}
+	if obs.TraceOut != "" {
+		if err := pfft.TraceTimeline(traces).WriteChromeTraceFile(obs.TraceOut); err != nil {
+			fatal(err)
+		}
+		if obs.TraceOut != "-" {
+			fmt.Printf("chrome trace written to %s (load at ui.perfetto.dev)\n", obs.TraceOut)
+		}
 	}
 }
 
@@ -340,26 +362,20 @@ func runMem(p, n int, variant pfft.Variant, prm pfft.Params, verify, timeline bo
 		if err != nil {
 			panic(err)
 		}
-		slab := layout.ScatterX(full, g)
+		var popts []pfft.PlanOpt
 		if tracing {
-			e, err := pfft.NewForwardEngine(g, c, slab)
-			if err != nil {
-				panic(err)
-			}
-			te := pfft.NewTraceEngine(e, prm)
-			b, err := pfft.Run(te, variant, prm)
-			if err != nil {
-				panic(err)
-			}
-			outs[c.Rank()], bs[c.Rank()], traces[c.Rank()] = e.Output(), b, te.Events()
-			return
+			popts = append(popts, pfft.WithTrace())
 		}
-		out, b, err := pfft.Forward3D(c, g, slab, variant, prm, fft.Estimate)
+		pl, err := pfft.NewPlan(c, g, variant, prm, fft.Estimate, popts...)
 		if err != nil {
 			panic(err)
 		}
-		outs[c.Rank()] = out
-		bs[c.Rank()] = b
+		defer pl.Close()
+		out, b, err := pl.Forward(layout.ScatterX(full, g))
+		if err != nil {
+			panic(err)
+		}
+		outs[c.Rank()], bs[c.Rank()], traces[c.Rank()] = out, b, pl.Trace()
 	})
 	if err != nil {
 		fatal(err)
@@ -389,17 +405,8 @@ func runMem(p, n int, variant pfft.Variant, prm pfft.Params, verify, timeline bo
 			h.Retransmits, h.Dedups, h.CorruptionsDetected)
 		fmt.Printf("  overlapped→blocking downgrades: %d\n", downgrades)
 	}
-	if timeline {
-		fmt.Println("rank 0 timeline (digits = tile index mod 10):")
-		pfft.RenderTimeline(os.Stdout, traces[0], 100)
-	}
-	if obs.TraceOut != "" {
-		if err := pfft.TraceTimeline(traces).WriteChromeTraceFile(obs.TraceOut); err != nil {
-			fatal(err)
-		}
-		if obs.TraceOut != "-" {
-			fmt.Printf("chrome trace written to %s (load at ui.perfetto.dev)\n", obs.TraceOut)
-		}
+	if tracing {
+		writeTraces(traces, timeline, obs)
 	}
 
 	if verify {

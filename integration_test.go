@@ -190,10 +190,5 @@ func (e *countingEngine) PostTile(slot int, ztl int) mpi.Request {
 	e.g.RecvCounts(ztl, e.cnts.recv)
 	return e.c.Ialltoallv(nil, e.cnts.send, nil, e.cnts.recv)
 }
-func (e *countingEngine) AlltoallTile(slot int, ztl int) {
-	e.g.SendCounts(ztl, e.cnts.send)
-	e.g.RecvCounts(ztl, e.cnts.recv)
-	e.c.Alltoallv(nil, e.cnts.send, nil, e.cnts.recv)
-}
 func (e *countingEngine) UnpackSub(slot int, fast bool, a, b, c2, d, f, h int) {}
 func (e *countingEngine) FFTxSub(fast bool, a, b, c2, d, f int)                {}

@@ -3,7 +3,6 @@ package pencil
 import (
 	"fmt"
 
-	"offt/internal/fft"
 	"offt/internal/mpi"
 	"offt/internal/pfft"
 )
@@ -96,248 +95,75 @@ func (p Params2D) Validate(g Grid2D) error {
 	return nil
 }
 
-// ForwardOverlapped3D is Forward3D with computation-communication overlap
-// in both exchange phases: while one tile's row-group (or column-group)
-// all-to-all is in flight, the CPU packs, unpacks and transforms other
-// tiles, progressing communication with MPI_Test. Input, output and
-// calling conventions match Forward3D.
-func ForwardOverlapped3D(c mpi.Comm, g Grid2D, slab []complex128, prm Params2D, flag fft.Flag) ([]complex128, error) {
-	if c.Size() != g.P() || c.Rank() != g.Rank {
-		return nil, fmt.Errorf("pencil: comm rank/size %d/%d does not match grid %d/%d", c.Rank(), c.Size(), g.Rank, g.P())
-	}
-	if len(slab) != g.InSize() {
-		return nil, fmt.Errorf("pencil: slab length %d, want %d", len(slab), g.InSize())
-	}
-	if err := prm.Validate(g); err != nil {
-		return nil, err
-	}
-	// Both phases exchange over the full communicator (off-group counts are
-	// zero), so one schedule selection covers every collective below.
-	mpi.SetExchange(c, mpi.Exchange{Alg: prm.Comm})
-	p := g.P()
-	xc, yc, zc, y2c := g.XC(), g.YC(), g.ZC(), g.Y2C()
-	planZ := fft.Plan1DCached(g.Nz, fft.Forward, flag).Clone()
-	planY := fft.Plan1DCached(g.Ny, fft.Forward, flag).Clone()
-	planX := fft.Plan1DCached(g.Nx, fft.Forward, flag).Clone()
-	mid := make([]complex128, g.MidSize())
-	out := make([]complex128, g.OutSize())
-
-	doTests := func(window []mpi.Request) {
-		if len(window) == 0 {
-			return
-		}
-		for j := 0; j < prm.F; j++ {
-			c.Test(window...)
-		}
-	}
-
-	// ---- Phase A: tiled along x; row-group exchange swaps y↔z splits ----
-	// The tile count uses the GLOBAL maximum x extent so every rank runs
-	// the same number of collectives (collective tags stay aligned across
-	// the whole world even when the distribution is uneven); ranks with a
-	// smaller x extent run trailing zero-count tiles.
-	kA := (g.XD.MaxCount() + prm.TA - 1) / prm.TA
-	slotsA := prm.WA + 1
-	reqsA := make([]mpi.Request, kA)
-	sendA := make([][]complex128, slotsA)
-	recvA := make([][]complex128, slotsA)
-	tileABounds := func(i int) (int, int) {
-		lo := i * prm.TA
-		hi := lo + prm.TA
-		if lo > xc {
-			lo = xc
-		}
-		if hi > xc {
-			hi = xc
-		}
-		return lo, hi
-	}
-	sendCounts := make([]int, p)
-	recvCounts := make([]int, p)
-	countsA := func(x0, x1 int) {
-		for i := range sendCounts {
-			sendCounts[i], recvCounts[i] = 0, 0
-		}
-		for cj := 0; cj < g.PC; cj++ {
-			sendCounts[g.GlobalRank(g.RI, cj)] = (x1 - x0) * yc * g.ZD.Count(cj)
-			recvCounts[g.GlobalRank(g.RI, cj)] = (x1 - x0) * g.YD.Count(cj) * zc
-		}
-	}
-	packA := func(i, slot int, window []mpi.Request) {
-		x0, x1 := tileABounds(i)
-		// FFTz for the tile's rows (contiguous batch), then pack per
-		// destination column in (x, y, z) order.
-		planZ.Batch(slab[x0*yc*g.Nz:], (x1-x0)*yc, g.Nz)
-		doTests(window)
-		need := (x1 - x0) * yc * g.Nz
-		if cap(sendA[slot]) < need {
-			sendA[slot] = make([]complex128, need)
-		}
-		buf := sendA[slot][:need]
-		off := 0
-		for cj := 0; cj < g.PC; cj++ {
-			zs, zcnt := g.ZD.Start(cj), g.ZD.Count(cj)
-			for lx := x0; lx < x1; lx++ {
-				for ly := 0; ly < yc; ly++ {
-					row := slab[(lx*yc+ly)*g.Nz:]
-					copy(buf[off:off+zcnt], row[zs:zs+zcnt])
-					off += zcnt
-				}
-			}
-		}
-		doTests(window)
-	}
-	postA := func(i, slot int) mpi.Request {
-		x0, x1 := tileABounds(i)
-		countsA(x0, x1)
-		need := (x1 - x0) * g.Ny * zc
-		if cap(recvA[slot]) < need {
-			recvA[slot] = make([]complex128, need)
-		}
-		return c.Ialltoallv(sendA[slot], sendCounts, recvA[slot][:need], recvCounts)
-	}
-	unpackA := func(i, slot int, window []mpi.Request) {
-		x0, x1 := tileABounds(i)
-		need := (x1 - x0) * g.Ny * zc
-		buf := recvA[slot][:need]
-		roff := 0
-		for cj := 0; cj < g.PC; cj++ {
-			ys, ycnt := g.YD.Start(cj), g.YD.Count(cj)
-			for lx := x0; lx < x1; lx++ {
-				for ly := 0; ly < ycnt; ly++ {
-					for lz := 0; lz < zc; lz++ {
-						mid[(lx*zc+lz)*g.Ny+ys+ly] = buf[roff]
-						roff++
-					}
-				}
-			}
-		}
-		doTests(window)
-		planY.Batch(mid[x0*zc*g.Ny:], (x1-x0)*zc, g.Ny)
-		doTests(window)
-	}
-	runPhase(kA, prm.WA, reqsA, c,
-		func(i int, window []mpi.Request) { packA(i, i%slotsA, window) },
-		func(i int) mpi.Request { return postA(i, i%slotsA) },
-		func(i int, window []mpi.Request) { unpackA(i, i%slotsA, window) })
-
-	// ---- Phase B: tiled along z; column-group exchange swaps x↔y splits ----
-	kB := (g.ZD.MaxCount() + prm.TB - 1) / prm.TB
-	slotsB := prm.WB + 1
-	reqsB := make([]mpi.Request, kB)
-	sendB := make([][]complex128, slotsB)
-	recvB := make([][]complex128, slotsB)
-	tileBBounds := func(i int) (int, int) {
-		lo := i * prm.TB
-		hi := lo + prm.TB
-		if lo > zc {
-			lo = zc
-		}
-		if hi > zc {
-			hi = zc
-		}
-		return lo, hi
-	}
-	countsB := func(z0, z1 int) {
-		for i := range sendCounts {
-			sendCounts[i], recvCounts[i] = 0, 0
-		}
-		for ri := 0; ri < g.PR; ri++ {
-			sendCounts[g.GlobalRank(ri, g.CI)] = xc * g.YD2.Count(ri) * (z1 - z0)
-			recvCounts[g.GlobalRank(ri, g.CI)] = g.XD.Count(ri) * y2c * (z1 - z0)
-		}
-	}
-	packB := func(i, slot int, window []mpi.Request) {
-		z0, z1 := tileBBounds(i)
-		need := xc * g.Ny * (z1 - z0)
-		if cap(sendB[slot]) < need {
-			sendB[slot] = make([]complex128, need)
-		}
-		buf := sendB[slot][:need]
-		off := 0
-		for ri := 0; ri < g.PR; ri++ {
-			ys, ycnt := g.YD2.Start(ri), g.YD2.Count(ri)
-			for lx := 0; lx < xc; lx++ {
-				for lz := z0; lz < z1; lz++ {
-					row := mid[(lx*zc+lz)*g.Ny:]
-					copy(buf[off:off+ycnt], row[ys:ys+ycnt])
-					off += ycnt
-				}
-			}
-		}
-		doTests(window)
-	}
-	postB := func(i, slot int) mpi.Request {
-		z0, z1 := tileBBounds(i)
-		countsB(z0, z1)
-		need := g.Nx * y2c * (z1 - z0)
-		if cap(recvB[slot]) < need {
-			recvB[slot] = make([]complex128, need)
-		}
-		return c.Ialltoallv(sendB[slot], sendCounts, recvB[slot][:need], recvCounts)
-	}
-	unpackB := func(i, slot int, window []mpi.Request) {
-		z0, z1 := tileBBounds(i)
-		need := g.Nx * y2c * (z1 - z0)
-		buf := recvB[slot][:need]
-		roff := 0
-		for ri := 0; ri < g.PR; ri++ {
-			xs, xcnt := g.XD.Start(ri), g.XD.Count(ri)
-			for lx := 0; lx < xcnt; lx++ {
-				for lz := z0; lz < z1; lz++ {
-					for ly := 0; ly < y2c; ly++ {
-						out[(ly*zc+lz)*g.Nx+xs+lx] = buf[roff]
-						roff++
-					}
-				}
-			}
-		}
-		doTests(window)
-		for ly := 0; ly < y2c; ly++ {
-			for lz := z0; lz < z1; lz++ {
-				base := (ly*zc + lz) * g.Nx
-				row := out[base : base+g.Nx]
-				planX.Transform(row, row)
-			}
-		}
-		doTests(window)
-	}
-	runPhase(kB, prm.WB, reqsB, c,
-		func(i int, window []mpi.Request) { packB(i, i%slotsB, window) },
-		func(i int) mpi.Request { return postB(i, i%slotsB) },
-		func(i int, window []mpi.Request) { unpackB(i, i%slotsB, window) })
-
-	return out, nil
+// blockingParams is the one-tile-per-phase parameter set of the Baseline
+// and NEW0 variants and of the blocking simulator: one whole-extent
+// exchange per phase with no Test calls, keeping the exchange schedule.
+func blockingParams(g Grid2D, comm mpi.CommAlg) Params2D {
+	return Params2D{TA: g.XD.MaxCount(), WA: 1, TB: g.ZD.MaxCount(), WB: 1, Comm: comm}
 }
 
-// runPhase is the Algorithm-1 pipeline skeleton shared by both phases:
-// iteration i packs tile i, waits for tile i−W, posts tile i, and unpacks
-// tile i−W.
-func runPhase(k, w int, reqs []mpi.Request, c mpi.Comm,
-	front func(i int, window []mpi.Request),
-	post func(i int) mpi.Request,
-	back func(i int, window []mpi.Request)) {
-	for i := 0; i < k+w; i++ {
-		if i < k {
-			lo := i - w
-			if lo < 0 {
-				lo = 0
-			}
-			front(i, reqs[lo:i])
+// exchange is one forward all-to-all phase cut into pipeline tiles — the
+// one tile-bounds/counts description the real plan and the simulator
+// share. Phase A (row group, swaps the y and z splits) tiles the local x
+// extent; phase B (column group, swaps the x and y splits) tiles the
+// local z extent. Every rank runs the tile count of the GLOBAL maximum
+// extent, so all ranks issue the same number of collectives even when
+// the distribution is uneven; ranks with a smaller extent run trailing
+// empty tiles.
+type exchange struct {
+	g    Grid2D
+	colB bool // phase B
+	t, w int  // tile size and window
+}
+
+// phases returns the forward transform's two exchange phases.
+func phases(g Grid2D, prm Params2D) [2]exchange {
+	return [2]exchange{{g: g, t: prm.TA, w: prm.WA}, {g: g, colB: true, t: prm.TB, w: prm.WB}}
+}
+
+// tiles returns the phase's tile count.
+func (x exchange) tiles() int {
+	if x.colB {
+		return (x.g.ZD.MaxCount() + x.t - 1) / x.t
+	}
+	return (x.g.XD.MaxCount() + x.t - 1) / x.t
+}
+
+// bounds returns tile i's local range [lo, hi) on the tiled axis.
+func (x exchange) bounds(i int) (lo, hi int) {
+	n := x.g.XC()
+	if x.colB {
+		n = x.g.ZC()
+	}
+	return min(i*x.t, n), min(i*x.t+x.t, n)
+}
+
+// lens returns tile i's send and receive buffer lengths.
+func (x exchange) lens(i int) (send, recv int) {
+	lo, hi := x.bounds(i)
+	g, n := x.g, hi-lo
+	if x.colB {
+		return g.XC() * g.Ny * n, g.Nx * g.Y2C() * n
+	}
+	return n * g.YC() * g.Nz, n * g.Ny * g.ZC()
+}
+
+// counts fills tile i's per-rank element counts; ranks outside the
+// phase's group get zero.
+func (x exchange) counts(i int, send, recv []int) {
+	clear(send)
+	clear(recv)
+	lo, hi := x.bounds(i)
+	g, n := x.g, hi-lo
+	if x.colB {
+		for ri := 0; ri < g.PR; ri++ {
+			send[g.GlobalRank(ri, g.CI)] = g.XC() * g.YD2.Count(ri) * n
+			recv[g.GlobalRank(ri, g.CI)] = g.XD.Count(ri) * g.Y2C() * n
 		}
-		if i >= w {
-			c.Wait(reqs[i-w])
-		}
-		if i < k {
-			reqs[i] = post(i)
-		}
-		if i >= w {
-			j := i - w
-			hi := j + w + 1
-			if hi > k {
-				hi = k
-			}
-			back(j, reqs[j+1:hi])
-		}
+		return
+	}
+	for cj := 0; cj < g.PC; cj++ {
+		send[g.GlobalRank(g.RI, cj)] = n * g.YC() * g.ZD.Count(cj)
+		recv[g.GlobalRank(g.RI, cj)] = n * g.YD.Count(cj) * g.ZC()
 	}
 }

@@ -16,9 +16,10 @@
 //
 // The output distribution therefore differs from the input's (y is split
 // over rows, z over columns), which is standard for pencil transforms.
-// This package provides the blocking implementation (like the comparison
-// libraries); combining it with the paper's overlap machinery remains
-// future work here as in the paper.
+// Forward3D is the blocking reference implementation (like the comparison
+// libraries); Plan runs both exchange phases through the paper's overlap
+// pipeline (pfft.Pipeline) — the paper's §7 future work — and the
+// simulators cost that same pipeline in virtual time.
 package pencil
 
 import (

@@ -232,28 +232,19 @@ func TestSimulateRejectsBadGrid(t *testing.T) {
 	}
 }
 
-func runPencilOverlapped(t *testing.T, full []complex128, nx, ny, nz, pr, pc int, prm Params2D) []complex128 {
+// assertSameSpectrum fails unless got and want are bit-identical.
+func assertSameSpectrum(t *testing.T, got, want []complex128) {
 	t.Helper()
-	p := pr * pc
-	w := mem.NewWorld(p)
-	outs := make([][]complex128, p)
-	err := w.Run(func(c *mem.Comm) {
-		g, err := NewGrid2D(nx, ny, nz, pr, pc, c.Rank())
-		if err != nil {
-			panic(err)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("element %d: plan %v != Forward3D %v", i, got[i], want[i])
 		}
-		out, err := ForwardOverlapped3D(c, g, ScatterPencil(full, g), prm, fft.Estimate)
-		if err != nil {
-			panic(err)
-		}
-		outs[c.Rank()] = out
-	})
-	if err != nil {
-		t.Fatalf("world failed: %v", err)
 	}
-	return GatherPencil(outs, nx, ny, nz, pr, pc)
 }
 
+// TestOverlappedPencilMatchesSerial: the overlapped pipeline of a NEW
+// plan — uneven splits, F 0–3, windows up to 3 — reproduces the blocking
+// Forward3D spectrum bit for bit.
 func TestOverlappedPencilMatchesSerial(t *testing.T) {
 	cases := []struct {
 		nx, ny, nz, pr, pc int
@@ -264,35 +255,32 @@ func TestOverlappedPencilMatchesSerial(t *testing.T) {
 		{16, 16, 16, 2, 4, Params2D{TA: 8, WA: 1, TB: 4, WB: 2, F: 0}},
 		{9, 10, 11, 3, 2, Params2D{TA: 2, WA: 2, TB: 2, WB: 2, F: 2}}, // uneven splits
 		{10, 12, 8, 2, 4, Params2D{TA: 5, WA: 2, TB: 2, WB: 2, F: 3}},
+		{7, 7, 7, 2, 3, Params2D{TA: 1, WA: 3, TB: 1, WB: 3, F: 3}}, // uneven, trailing empty tiles
 	}
 	for _, c := range cases {
 		name := fmt.Sprintf("%dx%dx%d-%dx%d", c.nx, c.ny, c.nz, c.pr, c.pc)
 		t.Run(name, func(t *testing.T) {
 			full := randCube(c.nx*c.ny*c.nz, 55)
-			want := append([]complex128(nil), full...)
-			fft.NewPlan3D(c.nx, c.ny, c.nz, fft.Forward).Transform(want)
-			got := runPencilOverlapped(t, full, c.nx, c.ny, c.nz, c.pr, c.pc, c.prm)
-			if e := maxErr(got, want); e > 1e-9 {
-				t.Errorf("error %g", e)
-			}
+			want := runPencil(t, full, c.nx, c.ny, c.nz, c.pr, c.pc)
+			got, _ := runPlan(t, full, c.nx, c.ny, c.nz, c.pr, c.pc, pfft.NEW, c.prm, 1)
+			assertSameSpectrum(t, got, want)
 		})
 	}
 }
 
+// TestOverlappedPencilDefaultParams: the default overlap point is valid
+// and its plan reproduces Forward3D bit for bit.
 func TestOverlappedPencilDefaultParams(t *testing.T) {
 	nx := 12
 	full := randCube(nx*nx*nx, 56)
-	want := append([]complex128(nil), full...)
-	fft.NewPlan3D(nx, nx, nx, fft.Forward).Transform(want)
 	g0, _ := NewGrid2D(nx, nx, nx, 2, 3, 0)
 	prm := DefaultParams2D(g0)
 	if err := prm.Validate(g0); err != nil {
 		t.Fatalf("default params invalid: %v", err)
 	}
-	got := runPencilOverlapped(t, full, nx, nx, nx, 2, 3, prm)
-	if e := maxErr(got, want); e > 1e-9 {
-		t.Errorf("error %g", e)
-	}
+	want := runPencil(t, full, nx, nx, nx, 2, 3)
+	got, _ := runPlan(t, full, nx, nx, nx, 2, 3, pfft.NEW, prm, 1)
+	assertSameSpectrum(t, got, want)
 }
 
 func TestParams2DValidation(t *testing.T) {

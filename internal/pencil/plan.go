@@ -9,17 +9,16 @@ import (
 )
 
 // Plan is the create-once / execute-many pencil transform for one rank —
-// the 2-D counterpart of pfft.Plan. Construction clones the 1-D FFT plans,
-// sizes every communication slot and scratch buffer, and arms the fault
-// monitor; Forward and Backward then run allocation-free in steady state.
+// the 2-D counterpart of pfft.Plan. Construction clones the 1-D FFT plans
+// and sizes every communication slot and scratch buffer; Forward and
+// Backward then run allocation-free in steady state.
 //
-// Both all-to-all phases run through the Algorithm-1 pipeline skeleton
-// (pack tile i, wait tile i−W, post tile i, unpack tile i−W) with the same
-// downgrade machinery as the slab pipeline: a tile wait missing its soft
-// deadline, or persistent transport retransmission pressure, degrades the
-// remainder of that phase to the blocking per-tile path. The degraded path
-// issues exactly one all-to-all per tile in tile order, so collective
-// sequence numbers stay aligned with ranks that did not degrade.
+// Both forward all-to-all phases run on pfft.Pipeline, the driver under
+// every overlapped transform (pack tile i, wait tile i−W, post tile i,
+// unpack tile i−W), so they share its downgrade machinery: a tile wait
+// missing its soft deadline, or persistent transport retransmission
+// pressure, degrades the remainder of that phase to the blocking per-tile
+// path, which issues exactly one all-to-all per tile in tile order.
 //
 // The Baseline and NEW0 variants run the same pipeline with a single
 // whole-extent tile per phase and no Test calls — one big exchange per
@@ -32,26 +31,18 @@ type Plan struct {
 	fz, fy, fx *fft.Plan // forward 1-D plans
 	bz, by, bx *fft.Plan // backward 1-D plans (lazy)
 
-	mid []complex128 // phase-1 pencil [xc][zc][Ny], y contiguous
-	out []complex128 // output x-pencil [y2c][zc][Nx], x contiguous
-	in  []complex128 // backward result z-pencil [xc][yc][Nz] (lazy)
+	slab []complex128 // Forward's input z-pencil, bound for one execution
+	mid  []complex128 // phase-1 pencil [xc][zc][Ny], y contiguous
+	out  []complex128 // output x-pencil [y2c][zc][Nx], x contiguous
+	in   []complex128 // backward result z-pencil [xc][yc][Nz] (lazy)
 
 	sendCounts, recvCounts []int
-	sendA, recvA           [][]complex128 // phase-A slot buffers
-	sendB, recvB           [][]complex128 // phase-B slot buffers
-	reqsA, reqsB           []mpi.Request
+	phA, phB               phase        // forward exchange phases
 	bsend, brecv           []complex128 // backward whole-phase buffers (lazy)
 
-	mon  pfft.FaultMonitor
+	pl   pfft.Pipeline // Rec is the step recorder (EnableTrace)
 	flag fft.Flag
 	last pfft.Breakdown
-
-	// Step-event tracing (EnableTrace): events accumulates one execution's
-	// timeline; trcBase offsets tile indices so phase-B tiles number after
-	// phase-A tiles and post/wait pairs stay unique plan-wide.
-	traced  bool
-	events  []pfft.StepEvent
-	trcBase int
 }
 
 // NewPlan builds a reusable pencil plan for this rank. Supported variants:
@@ -70,8 +61,8 @@ func NewPlan(c mpi.Comm, g Grid2D, v pfft.Variant, prm Params2D, flag fft.Flag) 
 		// keep prm as given
 	case pfft.Baseline, pfft.NEW0:
 		// Blocking variants override the tiling but keep the caller's
-		// exchange schedule: blocking is just post+wait in both engines.
-		prm = Params2D{TA: g.XD.MaxCount(), WA: 1, TB: g.ZD.MaxCount(), WB: 1, F: 0, Comm: prm.Comm}
+		// exchange schedule: blocking is just post+wait in every engine.
+		prm = blockingParams(g, prm.Comm)
 	default:
 		return nil, fmt.Errorf("pencil: variant %v is not supported by the pencil decomposition (use baseline, new, or new0)", v)
 	}
@@ -89,25 +80,10 @@ func NewPlan(c mpi.Comm, g Grid2D, v pfft.Variant, prm Params2D, flag fft.Flag) 
 		sendCounts: make([]int, g.P()),
 		recvCounts: make([]int, g.P()),
 	}
-	yc, zc, y2c := g.YC(), g.ZC(), g.Y2C()
-	xc := g.XC()
-	kA := (g.XD.MaxCount() + prm.TA - 1) / prm.TA
-	kB := (g.ZD.MaxCount() + prm.TB - 1) / prm.TB
-	p.reqsA = make([]mpi.Request, kA)
-	p.reqsB = make([]mpi.Request, kB)
-	p.sendA = slotBuffers(prm.WA+1, prm.TA*yc*g.Nz)
-	p.recvA = slotBuffers(prm.WA+1, prm.TA*g.Ny*zc)
-	p.sendB = slotBuffers(prm.WB+1, xc*g.Ny*prm.TB)
-	p.recvB = slotBuffers(prm.WB+1, g.Nx*y2c*prm.TB)
+	xs := phases(g, prm)
+	p.phA = newPhase(p, xs[0])
+	p.phB = newPhase(p, xs[1])
 	return p, nil
-}
-
-func slotBuffers(slots, size int) [][]complex128 {
-	bufs := make([][]complex128, slots)
-	for i := range bufs {
-		bufs[i] = make([]complex128, size)
-	}
-	return bufs
 }
 
 // Grid returns the plan's pencil geometry.
@@ -120,323 +96,174 @@ func (p *Plan) Params() Params2D { return p.prm }
 func (p *Plan) Breakdown() pfft.Breakdown { return p.last }
 
 // EnableTrace turns on step-event recording: every subsequent execution
-// rebuilds the timeline returned by Trace. Tracing wraps the already-
-// timed sites with event appends — use it for timeline capture, not
-// steady-state benchmarking (the appends allocate on first growth).
-func (p *Plan) EnableTrace() { p.traced = true }
+// rebuilds the timeline returned by Trace. Events reuse the clock reads
+// the Breakdown takes anyway, but appending them allocates as the
+// timeline grows — use it for timeline capture, not steady-state
+// benchmarking.
+func (p *Plan) EnableTrace() {
+	if p.pl.Rec == nil {
+		p.pl.Rec = &pfft.Recorder{}
+	}
+}
 
 // Trace reports the step-event timeline of the most recent execution
 // (nil unless EnableTrace was called). The slice aliases plan-owned
 // storage and is valid until the next execution.
-func (p *Plan) Trace() []pfft.StepEvent { return p.events }
-
-// rec appends one step event when tracing is enabled.
-func (p *Plan) rec(name string, start, end int64, tile int) {
-	if !p.traced {
-		return
-	}
-	p.events = append(p.events, pfft.StepEvent{Name: name, Start: start, End: end, Tile: tile})
-}
+func (p *Plan) Trace() []pfft.StepEvent { return p.pl.Rec.Events() }
 
 // Close releases nothing today but completes the create/execute/close
 // lifecycle shared with pfft.Plan.
 func (p *Plan) Close() {}
-
-// phaseFuncs bundles one exchange phase's tile operations for the shared
-// pipeline loop. front computes and packs tile i into its slot, post
-// starts the tile's all-to-all, back unpacks and transforms tile i.
-type phaseFuncs struct {
-	front func(i int, win []mpi.Request)
-	post  func(i int) mpi.Request
-	back  func(i int, win []mpi.Request)
-}
-
-// runPhase is the Algorithm-1 pipeline with the downgrade monitor wired
-// into the wait step: iteration i packs tile i, waits for tile i−w, posts
-// tile i, and unpacks tile i−w. When the monitor gives up on a wait the
-// remainder of the phase drains on the blocking per-tile path.
-func (p *Plan) runPhase(k, w int, reqs []mpi.Request, f phaseFuncs, b *pfft.Breakdown) {
-	c := p.c
-	for i := 0; i < k+w; i++ {
-		if i < k {
-			lo := i - w
-			if lo < 0 {
-				lo = 0
-			}
-			f.front(i, reqs[lo:i])
-		}
-		if i >= w {
-			t := c.Now()
-			ok := p.mon.WaitTile(c, reqs[i-w])
-			now := c.Now()
-			b.Wait += now - t
-			p.rec("Wait", t, now, p.trcBase+i-w)
-			if !ok {
-				b.Downgrades++
-				p.rec("Downgrade", now, now, p.trcBase+i-w)
-				p.degradePhase(k, w, reqs, i, f, b)
-				return
-			}
-		}
-		if i < k {
-			t := c.Now()
-			reqs[i] = f.post(i)
-			now := c.Now()
-			b.Ialltoall += now - t
-			p.rec("Ialltoall", t, now, p.trcBase+i)
-		}
-		if i >= w {
-			j := i - w
-			hi := j + w + 1
-			if hi > k {
-				hi = k
-			}
-			if i+1 < hi {
-				hi = i + 1
-			}
-			f.back(j, reqs[j+1:hi])
-		}
-	}
-}
-
-// degradePhase finishes one exchange phase on the blocking path after the
-// pipeline gave up at iteration i (waiting on tile i−w). Tiles < i−w are
-// done, tiles i−w..min(i,k)−1 are posted but not unpacked, tile i (when
-// i < k) is packed but not posted, later tiles are untouched. Plain Wait
-// is safe: soft deadlines leave requests valid and the self-healing
-// transport still converges.
-func (p *Plan) degradePhase(k, w int, reqs []mpi.Request, i int, f phaseFuncs, b *pfft.Breakdown) {
-	c := p.c
-	hi := i
-	if hi > k {
-		hi = k
-	}
-	for j := i - w; j < hi; j++ {
-		t := c.Now()
-		c.Wait(reqs[j])
-		now := c.Now()
-		b.Wait += now - t
-		p.rec("Wait", t, now, p.trcBase+j)
-		f.back(j, nil)
-	}
-	for j := i; j < k; j++ {
-		if j > i {
-			f.front(j, nil)
-		}
-		t := c.Now()
-		req := f.post(j)
-		c.Wait(req)
-		now := c.Now()
-		b.Wait += now - t
-		p.rec("Wait", t, now, p.trcBase+j)
-		f.back(j, nil)
-	}
-}
-
-func (p *Plan) doTests(win []mpi.Request, b *pfft.Breakdown) {
-	if len(win) == 0 || p.prm.F <= 0 {
-		return
-	}
-	t := p.c.Now()
-	for j := 0; j < p.prm.F; j++ {
-		p.c.Test(win...)
-	}
-	now := p.c.Now()
-	b.Test += now - t
-	p.rec("Test", t, now, -1)
-}
 
 // Forward executes one forward transform. slab is this rank's input
 // z-pencil in x-y-z layout (length InSize(), consumed); the returned
 // x-pencil in y-z-x layout is plan-owned and valid until the next
 // execution.
 func (p *Plan) Forward(slab []complex128) ([]complex128, pfft.Breakdown, error) {
-	g, c := p.g, p.c
-	if len(slab) != g.InSize() {
-		return nil, pfft.Breakdown{}, fmt.Errorf("pencil: slab length %d, want %d", len(slab), g.InSize())
+	if len(slab) != p.g.InSize() {
+		return nil, pfft.Breakdown{}, fmt.Errorf("pencil: slab length %d, want %d", len(slab), p.g.InSize())
 	}
-	var b pfft.Breakdown
+	c := p.c
+	p.last = pfft.Breakdown{}
 	start := c.Now()
 	// Re-select the tuned exchange schedule every run: the communicator may
 	// be shared with plans tuned to a different schedule.
 	mpi.SetExchange(c, mpi.Exchange{Alg: p.prm.Comm})
-	p.mon.Init(c)
-	p.events = p.events[:0]
-	p.trcBase = 0
-	xc, yc, zc, y2c := g.XC(), g.YC(), g.ZC(), g.Y2C()
-
-	// ---- Phase A: FFTz + row-group exchange (y↔z splits) + FFTy ----
-	// Tile count uses the GLOBAL maximum x extent so every rank runs the
-	// same number of collectives; ranks with a smaller extent run trailing
-	// zero-count tiles.
-	kA := (g.XD.MaxCount() + p.prm.TA - 1) / p.prm.TA
-	slotsA := p.prm.WA + 1
-	boundsA := func(i int) (int, int) {
-		lo, hi := i*p.prm.TA, i*p.prm.TA+p.prm.TA
-		if lo > xc {
-			lo = xc
-		}
-		if hi > xc {
-			hi = xc
-		}
-		return lo, hi
-	}
-	p.runPhase(kA, p.prm.WA, p.reqsA, phaseFuncs{
-		front: func(i int, win []mpi.Request) {
-			x0, x1 := boundsA(i)
-			t := c.Now()
-			p.fz.Batch(slab[x0*yc*g.Nz:], (x1-x0)*yc, g.Nz)
-			now := c.Now()
-			b.FFTz += now - t
-			p.rec("FFTz", t, now, i)
-			p.doTests(win, &b)
-			t = c.Now()
-			buf := p.sendA[i%slotsA][:(x1-x0)*yc*g.Nz]
-			off := 0
-			for cj := 0; cj < g.PC; cj++ {
-				zs, zcnt := g.ZD.Start(cj), g.ZD.Count(cj)
-				for lx := x0; lx < x1; lx++ {
-					for ly := 0; ly < yc; ly++ {
-						row := slab[(lx*yc+ly)*g.Nz:]
-						copy(buf[off:off+zcnt], row[zs:zs+zcnt])
-						off += zcnt
-					}
-				}
-			}
-			now = c.Now()
-			b.Pack += now - t
-			p.rec("Pack", t, now, i)
-			p.doTests(win, &b)
-		},
-		post: func(i int) mpi.Request {
-			x0, x1 := boundsA(i)
-			for j := range p.sendCounts {
-				p.sendCounts[j], p.recvCounts[j] = 0, 0
-			}
-			for cj := 0; cj < g.PC; cj++ {
-				p.sendCounts[g.GlobalRank(g.RI, cj)] = (x1 - x0) * yc * g.ZD.Count(cj)
-				p.recvCounts[g.GlobalRank(g.RI, cj)] = (x1 - x0) * g.YD.Count(cj) * zc
-			}
-			slot := i % slotsA
-			return c.Ialltoallv(p.sendA[slot][:(x1-x0)*yc*g.Nz], p.sendCounts,
-				p.recvA[slot][:(x1-x0)*g.Ny*zc], p.recvCounts)
-		},
-		back: func(i int, win []mpi.Request) {
-			x0, x1 := boundsA(i)
-			t := c.Now()
-			buf := p.recvA[i%slotsA][:(x1-x0)*g.Ny*zc]
-			roff := 0
-			for cj := 0; cj < g.PC; cj++ {
-				ys, ycnt := g.YD.Start(cj), g.YD.Count(cj)
-				for lx := x0; lx < x1; lx++ {
-					for ly := 0; ly < ycnt; ly++ {
-						for lz := 0; lz < zc; lz++ {
-							p.mid[(lx*zc+lz)*g.Ny+ys+ly] = buf[roff]
-							roff++
-						}
-					}
-				}
-			}
-			now := c.Now()
-			b.Unpack += now - t
-			p.rec("Unpack", t, now, i)
-			p.doTests(win, &b)
-			t = c.Now()
-			p.fy.Batch(p.mid[x0*zc*g.Ny:], (x1-x0)*zc, g.Ny)
-			now = c.Now()
-			b.FFTy += now - t
-			p.rec("FFTy", t, now, i)
-			p.doTests(win, &b)
-		},
-	}, &b)
-
-	// ---- Phase B: column-group exchange (x↔y splits) + FFTx ----
-	p.trcBase = kA
-	kB := (g.ZD.MaxCount() + p.prm.TB - 1) / p.prm.TB
-	slotsB := p.prm.WB + 1
-	boundsB := func(i int) (int, int) {
-		lo, hi := i*p.prm.TB, i*p.prm.TB+p.prm.TB
-		if lo > zc {
-			lo = zc
-		}
-		if hi > zc {
-			hi = zc
-		}
-		return lo, hi
-	}
-	p.runPhase(kB, p.prm.WB, p.reqsB, phaseFuncs{
-		front: func(i int, win []mpi.Request) {
-			z0, z1 := boundsB(i)
-			t := c.Now()
-			buf := p.sendB[i%slotsB][:xc*g.Ny*(z1-z0)]
-			off := 0
-			for ri := 0; ri < g.PR; ri++ {
-				ys, ycnt := g.YD2.Start(ri), g.YD2.Count(ri)
-				for lx := 0; lx < xc; lx++ {
-					for lz := z0; lz < z1; lz++ {
-						row := p.mid[(lx*zc+lz)*g.Ny:]
-						copy(buf[off:off+ycnt], row[ys:ys+ycnt])
-						off += ycnt
-					}
-				}
-			}
-			now := c.Now()
-			b.Pack += now - t
-			p.rec("Pack", t, now, kA+i)
-			p.doTests(win, &b)
-		},
-		post: func(i int) mpi.Request {
-			z0, z1 := boundsB(i)
-			for j := range p.sendCounts {
-				p.sendCounts[j], p.recvCounts[j] = 0, 0
-			}
-			for ri := 0; ri < g.PR; ri++ {
-				p.sendCounts[g.GlobalRank(ri, g.CI)] = xc * g.YD2.Count(ri) * (z1 - z0)
-				p.recvCounts[g.GlobalRank(ri, g.CI)] = g.XD.Count(ri) * y2c * (z1 - z0)
-			}
-			slot := i % slotsB
-			return c.Ialltoallv(p.sendB[slot][:xc*g.Ny*(z1-z0)], p.sendCounts,
-				p.recvB[slot][:g.Nx*y2c*(z1-z0)], p.recvCounts)
-		},
-		back: func(i int, win []mpi.Request) {
-			z0, z1 := boundsB(i)
-			t := c.Now()
-			buf := p.recvB[i%slotsB][:g.Nx*y2c*(z1-z0)]
-			roff := 0
-			for ri := 0; ri < g.PR; ri++ {
-				xs, xcnt := g.XD.Start(ri), g.XD.Count(ri)
-				for lx := 0; lx < xcnt; lx++ {
-					for lz := z0; lz < z1; lz++ {
-						for ly := 0; ly < y2c; ly++ {
-							p.out[(ly*zc+lz)*g.Nx+xs+lx] = buf[roff]
-							roff++
-						}
-					}
-				}
-			}
-			now := c.Now()
-			b.Unpack += now - t
-			p.rec("Unpack", t, now, kA+i)
-			p.doTests(win, &b)
-			t = c.Now()
-			for ly := 0; ly < y2c; ly++ {
-				for lz := z0; lz < z1; lz++ {
-					base := (ly*zc + lz) * g.Nx
-					row := p.out[base : base+g.Nx]
-					p.fx.Transform(row, row)
-				}
-			}
-			now = c.Now()
-			b.FFTx += now - t
-			p.rec("FFTx", t, now, kA+i)
-			p.doTests(win, &b)
-		},
-	}, &b)
-
-	b.Total = c.Now() - start
-	p.last = b
-	return p.out, b, nil
+	p.pl.Rec.Reset()
+	p.slab = slab
+	p.pl.Run(c, &p.phA, p.phA.x.tiles(), p.phA.x.w)
+	// Phase-B tiles number after phase-A tiles so post/wait pairs stay
+	// unique plan-wide.
+	p.pl.Rec.SetTileBase(p.phA.x.tiles())
+	p.pl.Run(c, &p.phB, p.phB.x.tiles(), p.phB.x.w)
+	p.slab = nil
+	p.last.Total = c.Now() - start
+	return p.out, p.last, nil
 }
+
+// phase is one forward exchange phase of a Plan, run as pfft.Stages.
+// Phase A: FFTz and pack in front, unpack and FFTy behind, over a range
+// of local x. Phase B: pack in front, unpack and FFTx behind, over a
+// range of local z.
+type phase struct {
+	p          *Plan
+	x          exchange
+	send, recv [][]complex128 // per-slot buffers, sized for the largest tile
+}
+
+func newPhase(p *Plan, x exchange) phase {
+	ns, nr := x.lens(0)
+	ph := phase{p: p, x: x, send: make([][]complex128, x.w+1), recv: make([][]complex128, x.w+1)}
+	for s := range ph.send {
+		ph.send[s] = make([]complex128, ns)
+		ph.recv[s] = make([]complex128, nr)
+	}
+	return ph
+}
+
+func (ph *phase) Front(i, slot int, win []mpi.Request) {
+	p, g, c := ph.p, ph.p.g, ph.p.c
+	rec, b := p.pl.Rec, &p.last
+	xc, yc, zc := g.XC(), g.YC(), g.ZC()
+	lo, hi := ph.x.bounds(i)
+	buf := ph.send[slot]
+	off := 0
+	if !ph.x.colB {
+		t := c.Now()
+		p.fz.Batch(p.slab[lo*yc*g.Nz:], (hi-lo)*yc, g.Nz)
+		pfft.EndStep(c, rec, "FFTz", i, t, &b.FFTz)
+		p.poll(win)
+		t = c.Now()
+		for cj := 0; cj < g.PC; cj++ {
+			zs, zcnt := g.ZD.Start(cj), g.ZD.Count(cj)
+			for lx := lo; lx < hi; lx++ {
+				for ly := 0; ly < yc; ly++ {
+					row := p.slab[(lx*yc+ly)*g.Nz:]
+					copy(buf[off:off+zcnt], row[zs:zs+zcnt])
+					off += zcnt
+				}
+			}
+		}
+		pfft.EndStep(c, rec, "Pack", i, t, &b.Pack)
+	} else {
+		t := c.Now()
+		for ri := 0; ri < g.PR; ri++ {
+			ys, ycnt := g.YD2.Start(ri), g.YD2.Count(ri)
+			for lx := 0; lx < xc; lx++ {
+				for lz := lo; lz < hi; lz++ {
+					row := p.mid[(lx*zc+lz)*g.Ny:]
+					copy(buf[off:off+ycnt], row[ys:ys+ycnt])
+					off += ycnt
+				}
+			}
+		}
+		pfft.EndStep(c, rec, "Pack", i, t, &b.Pack)
+	}
+	p.poll(win)
+}
+
+func (ph *phase) Post(i, slot int) mpi.Request {
+	p := ph.p
+	ns, nr := ph.x.lens(i)
+	ph.x.counts(i, p.sendCounts, p.recvCounts)
+	return p.c.Ialltoallv(ph.send[slot][:ns], p.sendCounts, ph.recv[slot][:nr], p.recvCounts)
+}
+
+func (ph *phase) Back(i, slot int, win []mpi.Request) {
+	p, g, c := ph.p, ph.p.g, ph.p.c
+	rec, b := p.pl.Rec, &p.last
+	zc, y2c := g.ZC(), g.Y2C()
+	lo, hi := ph.x.bounds(i)
+	buf := ph.recv[slot]
+	roff := 0
+	t := c.Now()
+	if !ph.x.colB {
+		for cj := 0; cj < g.PC; cj++ {
+			ys, ycnt := g.YD.Start(cj), g.YD.Count(cj)
+			for lx := lo; lx < hi; lx++ {
+				for ly := 0; ly < ycnt; ly++ {
+					for lz := 0; lz < zc; lz++ {
+						p.mid[(lx*zc+lz)*g.Ny+ys+ly] = buf[roff]
+						roff++
+					}
+				}
+			}
+		}
+		pfft.EndStep(c, rec, "Unpack", i, t, &b.Unpack)
+		p.poll(win)
+		t = c.Now()
+		p.fy.Batch(p.mid[lo*zc*g.Ny:], (hi-lo)*zc, g.Ny)
+		pfft.EndStep(c, rec, "FFTy", i, t, &b.FFTy)
+	} else {
+		for ri := 0; ri < g.PR; ri++ {
+			xs, xcnt := g.XD.Start(ri), g.XD.Count(ri)
+			for lx := 0; lx < xcnt; lx++ {
+				for lz := lo; lz < hi; lz++ {
+					for ly := 0; ly < y2c; ly++ {
+						p.out[(ly*zc+lz)*g.Nx+xs+lx] = buf[roff]
+						roff++
+					}
+				}
+			}
+		}
+		pfft.EndStep(c, rec, "Unpack", i, t, &b.Unpack)
+		p.poll(win)
+		t = c.Now()
+		for ly := 0; ly < y2c; ly++ {
+			for lz := lo; lz < hi; lz++ {
+				row := p.out[(ly*zc+lz)*g.Nx:][:g.Nx]
+				p.fx.Transform(row, row)
+			}
+		}
+		pfft.EndStep(c, rec, "FFTx", i, t, &b.FFTx)
+	}
+	p.poll(win)
+}
+
+func (ph *phase) Acct(int) *pfft.Breakdown { return &ph.p.last }
+
+// poll issues the plan's F Test calls over win.
+func (p *Plan) poll(win []mpi.Request) { pfft.Poll(p.c, win, p.prm.F, &p.last, p.pl.Rec) }
 
 // ensureBackward lazily builds the inverse 1-D plans and the backward
 // exchange buffers on the first Backward call, so forward-only plans pay
@@ -479,7 +306,7 @@ func (p *Plan) Backward(xp []complex128) ([]complex128, pfft.Breakdown, error) {
 	var b pfft.Breakdown
 	start := c.Now()
 	mpi.SetExchange(c, mpi.Exchange{Alg: p.prm.Comm})
-	p.events = p.events[:0]
+	p.pl.Rec.Reset()
 	xc, yc, zc, y2c := g.XC(), g.YC(), g.ZC(), g.Y2C()
 
 	// FFTx⁻¹ on the contiguous x rows.
@@ -487,7 +314,7 @@ func (p *Plan) Backward(xp []complex128) ([]complex128, pfft.Breakdown, error) {
 	p.bx.Batch(xp, y2c*zc, g.Nx)
 	now := c.Now()
 	b.FFTx += now - t
-	p.rec("FFTx", t, now, -1)
+	p.pl.Rec.Add("FFTx", t, now, -1)
 
 	// Inverse transpose B within the column group: return x-ranges, regather
 	// y. The pack order to each destination mirrors the forward unpack read
@@ -514,12 +341,12 @@ func (p *Plan) Backward(xp []complex128) ([]complex128, pfft.Breakdown, error) {
 	}
 	now = c.Now()
 	b.Pack += now - t
-	p.rec("Pack", t, now, -1)
+	p.pl.Rec.Add("Pack", t, now, -1)
 	t = c.Now()
 	c.Alltoallv(p.bsend[:g.OutSize()], p.sendCounts, p.brecv[:g.MidSize()], p.recvCounts)
 	now = c.Now()
 	b.Wait += now - t
-	p.rec("Alltoall", t, now, -1)
+	p.pl.Rec.Add("Alltoall", t, now, -1)
 	t = c.Now()
 	roff := 0
 	for ri := 0; ri < g.PR; ri++ {
@@ -534,14 +361,14 @@ func (p *Plan) Backward(xp []complex128) ([]complex128, pfft.Breakdown, error) {
 	}
 	now = c.Now()
 	b.Unpack += now - t
-	p.rec("Unpack", t, now, -1)
+	p.pl.Rec.Add("Unpack", t, now, -1)
 
 	// FFTy⁻¹.
 	t = c.Now()
 	p.by.Batch(p.mid, xc*zc, g.Ny)
 	now = c.Now()
 	b.FFTy += now - t
-	p.rec("FFTy", t, now, -1)
+	p.pl.Rec.Add("FFTy", t, now, -1)
 
 	// Inverse transpose A within the row group: return y-ranges, regather z.
 	t = c.Now()
@@ -566,12 +393,12 @@ func (p *Plan) Backward(xp []complex128) ([]complex128, pfft.Breakdown, error) {
 	}
 	now = c.Now()
 	b.Pack += now - t
-	p.rec("Pack", t, now, -1)
+	p.pl.Rec.Add("Pack", t, now, -1)
 	t = c.Now()
 	c.Alltoallv(p.bsend[:g.MidSize()], p.sendCounts, p.brecv[:g.InSize()], p.recvCounts)
 	now = c.Now()
 	b.Wait += now - t
-	p.rec("Alltoall", t, now, -1)
+	p.pl.Rec.Add("Alltoall", t, now, -1)
 	t = c.Now()
 	roff = 0
 	for cj := 0; cj < g.PC; cj++ {
@@ -586,14 +413,14 @@ func (p *Plan) Backward(xp []complex128) ([]complex128, pfft.Breakdown, error) {
 	}
 	now = c.Now()
 	b.Unpack += now - t
-	p.rec("Unpack", t, now, -1)
+	p.pl.Rec.Add("Unpack", t, now, -1)
 
 	// FFTz⁻¹.
 	t = c.Now()
 	p.bz.Batch(p.in, xc*yc, g.Nz)
 	now = c.Now()
 	b.FFTz += now - t
-	p.rec("FFTz", t, now, -1)
+	p.pl.Rec.Add("FFTz", t, now, -1)
 
 	b.Total = c.Now() - start
 	p.last = b

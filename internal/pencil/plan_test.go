@@ -13,7 +13,7 @@ import (
 
 // runPlan scatters full, runs one (or more) Forward executions through a
 // reusable Plan on every rank, and gathers the result.
-func runPlan(t *testing.T, full []complex128, nx, ny, nz, pr, pc int, v pfft.Variant, execs int, wopts ...mem.Option) ([]complex128, []pfft.Breakdown) {
+func runPlan(t *testing.T, full []complex128, nx, ny, nz, pr, pc int, v pfft.Variant, prm Params2D, execs int, wopts ...mem.Option) ([]complex128, []pfft.Breakdown) {
 	t.Helper()
 	p := pr * pc
 	w := mem.NewWorld(p, wopts...)
@@ -24,7 +24,7 @@ func runPlan(t *testing.T, full []complex128, nx, ny, nz, pr, pc int, v pfft.Var
 		if err != nil {
 			panic(err)
 		}
-		pl, err := NewPlan(c, g, v, Params2D{}, fft.Estimate)
+		pl, err := NewPlan(c, g, v, prm, fft.Estimate)
 		if err != nil {
 			panic(err)
 		}
@@ -67,12 +67,8 @@ func TestPlanMatchesForward3D(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				full := randCube(tc.nx*tc.ny*tc.nz, 11)
 				want := runPencil(t, full, tc.nx, tc.ny, tc.nz, tc.pr, tc.pc)
-				got, _ := runPlan(t, full, tc.nx, tc.ny, tc.nz, tc.pr, tc.pc, v, 2)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("element %d: plan %v != Forward3D %v", i, got[i], want[i])
-					}
-				}
+				got, _ := runPlan(t, full, tc.nx, tc.ny, tc.nz, tc.pr, tc.pc, v, Params2D{}, 2)
+				assertSameSpectrum(t, got, want)
 			})
 		}
 	}
@@ -147,7 +143,7 @@ func TestPlanDegradesUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, bds := runPlan(t, full, nx, ny, nz, pr, pc, pfft.NEW, 1,
+	got, bds := runPlan(t, full, nx, ny, nz, pr, pc, pfft.NEW, Params2D{}, 1,
 		mem.WithFaults(fp), mem.WithDeadline(time.Nanosecond))
 	var dg int64
 	for _, b := range bds {
@@ -160,6 +156,66 @@ func TestPlanDegradesUnderFaults(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("element %d after downgrade: %v != %v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestPlanTraceRecordsDowngrade: a traced NEW plan under a 1 ns wait
+// deadline records the downgrade as a Downgrade instant followed by
+// blocking Alltoall spans — the event names the slab pipeline uses — and
+// still produces the Forward3D spectrum.
+func TestPlanTraceRecordsDowngrade(t *testing.T) {
+	const nx, ny, nz, pr, pc = 16, 16, 16, 2, 2
+	full := randCube(nx*ny*nz, 37)
+	want := runPencil(t, full, nx, ny, nz, pr, pc)
+	fp, err := fault.NewPlan(7, fault.ProfileDrop, pr*pc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One-plane tiles: each phase has 8 tiles, so a wait giving up early
+	// leaves tiles for the blocking drain.
+	prm := Params2D{TA: 1, WA: 2, TB: 1, WB: 2, F: 1}
+	p := pr * pc
+	w := mem.NewWorld(p, mem.WithFaults(fp), mem.WithDeadline(time.Nanosecond))
+	outs := make([][]complex128, p)
+	traces := make([][]pfft.StepEvent, p)
+	err = w.Run(func(c *mem.Comm) {
+		g, err := NewGrid2D(nx, ny, nz, pr, pc, c.Rank())
+		if err != nil {
+			panic(err)
+		}
+		pl, err := NewPlan(c, g, pfft.NEW, prm, fft.Estimate)
+		if err != nil {
+			panic(err)
+		}
+		pl.EnableTrace()
+		out, _, err := pl.Forward(ScatterPencil(full, g))
+		if err != nil {
+			panic(err)
+		}
+		outs[c.Rank()] = append([]complex128(nil), out...)
+		traces[c.Rank()] = append([]pfft.StepEvent(nil), pl.Trace()...)
+	})
+	if err != nil {
+		t.Fatalf("world failed: %v", err)
+	}
+	assertSameSpectrum(t, GatherPencil(outs, nx, ny, nz, pr, pc), want)
+	found := false
+	for r, evs := range traces {
+		downgraded := false
+		for _, e := range evs {
+			switch {
+			case e.Name == "Downgrade":
+				downgraded = true
+				if e.Tile < 0 || e.Start != e.End {
+					t.Errorf("rank %d: Downgrade event %+v is not an instant with a tile", r, e)
+				}
+			case e.Name == "Alltoall" && downgraded:
+				found = true
+			}
+		}
+	}
+	if !found {
+		t.Error("no rank recorded a Downgrade instant followed by Alltoall spans")
 	}
 }
 

@@ -2,92 +2,32 @@ package pencil
 
 import (
 	"math"
+	"slices"
 
 	"offt/internal/machine"
 	"offt/internal/mpi"
 	"offt/internal/mpi/sim"
+	"offt/internal/pfft"
 )
 
 // Simulate runs the blocking pencil-decomposed 3-D FFT of an n³ array on a
 // pr×pc simulated process grid and returns the job completion time
-// (slowest rank, virtual nanoseconds). It mirrors Forward3D's control flow
-// with cost-model kernels, enabling the 1-D-vs-2-D decomposition
+// (slowest rank, virtual nanoseconds). It charges Forward3D's kernels and
+// two exchanges, as a Baseline plan's one-tile pipeline, enabling the 1-D-vs-2-D decomposition
 // comparison of §2.2: one all-to-all over p ranks versus two all-to-alls
 // over pc and pr ranks.
 func Simulate(m machine.Machine, pr, pc, n int) (int64, error) {
 	return SimulateGrid(m, pr, pc, n, n, n)
 }
 
-// SimulateGrid is Simulate for a general Nx×Ny×Nz grid.
+// SimulateGrid is Simulate for a general Nx×Ny×Nz grid: the one-tile,
+// pairwise, F=0 case of SimulateOverlappedGrid.
 func SimulateGrid(m machine.Machine, pr, pc, nx, ny, nz int) (int64, error) {
-	if _, err := NewGrid2D(nx, ny, nz, pr, pc, 0); err != nil {
-		return 0, err
-	}
-	p := pr * pc
-	w := sim.NewWorld(m, p)
-	ends := make([]int64, p)
-	err := w.Run(func(c *sim.Comm) {
-		g, err := NewGrid2D(nx, ny, nz, pr, pc, c.Rank())
-		if err != nil {
-			panic(err)
-		}
-		cmp := m.Cmp
-		fftCost := func(rows, length int) int64 {
-			if length < 2 {
-				return int64(cmp.FFTNsPerUnit * float64(rows))
-			}
-			return int64(cmp.FFTNsPerUnit * float64(rows) * float64(length) * math.Log2(float64(length)))
-		}
-		// Pack/unpack of a whole pencil: streaming copies with a modest
-		// cache penalty (the copies stride through the pencil).
-		copyCost := func(elems int) int64 {
-			return int64(cmp.MemNsPerElem * 1.5 * float64(elems))
-		}
-		xc, yc, zc, y2c := g.XC(), g.YC(), g.ZC(), g.Y2C()
-
-		// FFTz.
-		c.Advance(fftCost(xc*yc, g.Nz))
-
-		// Transpose A within the row group.
-		sendCounts := make([]int, p)
-		recvCounts := make([]int, p)
-		for cj := 0; cj < g.PC; cj++ {
-			sendCounts[g.GlobalRank(g.RI, cj)] = xc * yc * g.ZD.Count(cj)
-			recvCounts[g.GlobalRank(g.RI, cj)] = xc * g.YD.Count(cj) * zc
-		}
-		c.Advance(copyCost(g.InSize())) // pack
-		c.Alltoallv(nil, sendCounts, nil, recvCounts)
-		c.Advance(copyCost(g.MidSize())) // unpack
-
-		// FFTy.
-		c.Advance(fftCost(xc*zc, g.Ny))
-
-		// Transpose B within the column group.
-		for i := range sendCounts {
-			sendCounts[i], recvCounts[i] = 0, 0
-		}
-		for ri := 0; ri < g.PR; ri++ {
-			sendCounts[g.GlobalRank(ri, g.CI)] = xc * zc * g.YD2.Count(ri)
-			recvCounts[g.GlobalRank(ri, g.CI)] = g.XD.Count(ri) * zc * y2c
-		}
-		c.Advance(copyCost(g.MidSize()))
-		c.Alltoallv(nil, sendCounts, nil, recvCounts)
-		c.Advance(copyCost(g.OutSize()))
-
-		// FFTx.
-		c.Advance(fftCost(y2c*zc, g.Nx))
-		ends[c.Rank()] = c.Now()
-	})
+	g0, err := NewGrid2D(nx, ny, nz, pr, pc, 0)
 	if err != nil {
 		return 0, err
 	}
-	var max int64
-	for _, e := range ends {
-		if e > max {
-			max = e
-		}
-	}
-	return max, nil
+	return SimulateOverlappedGrid(m, pr, pc, nx, ny, nz, blockingParams(g0, mpi.CommPairwise))
 }
 
 // SimulateOverlapped runs the overlapped pencil transform (the paper's §7
@@ -99,7 +39,10 @@ func SimulateOverlapped(m machine.Machine, pr, pc, n int, prm Params2D) (int64, 
 	return SimulateOverlappedGrid(m, pr, pc, n, n, n, prm)
 }
 
-// SimulateOverlappedGrid is SimulateOverlapped for a general Nx×Ny×Nz grid.
+// SimulateOverlappedGrid is SimulateOverlapped for a general Nx×Ny×Nz
+// grid. Each rank drives both exchange phases through pfft.Pipeline — the
+// control flow pencil plans execute — with cost stages in place of the
+// kernels.
 func SimulateOverlappedGrid(m machine.Machine, pr, pc, nx, ny, nz int, prm Params2D) (int64, error) {
 	g0, err := NewGrid2D(nx, ny, nz, pr, pc, 0)
 	if err != nil {
@@ -116,121 +59,79 @@ func SimulateOverlappedGrid(m machine.Machine, pr, pc, nx, ny, nz int, prm Param
 		if err != nil {
 			panic(err)
 		}
-		// Same schedule selection as the real overlapped path; SimulateGrid
-		// stays pairwise (the pre-tunable baseline).
 		mpi.SetExchange(c, mpi.Exchange{Alg: prm.Comm})
-		cmp := m.Cmp
-		fftCost := func(rows, length int) int64 {
-			if rows <= 0 {
-				return 0
-			}
-			if length < 2 {
-				return int64(cmp.FFTNsPerUnit * float64(rows))
-			}
-			return int64(cmp.FFTNsPerUnit * float64(rows) * float64(length) * math.Log2(float64(length)))
+		var pl pfft.Pipeline
+		for _, x := range phases(g, prm) {
+			st := &costStages{c: c, cmp: m.Cmp, x: x, f: prm.F, send: make([]int, p), recv: make([]int, p)}
+			pl.Run(c, st, x.tiles(), x.w)
 		}
-		copyCost := func(elems int) int64 {
-			return int64(cmp.MemNsPerElem * 1.5 * float64(elems))
-		}
-		xc, yc, zc, y2c := g.XC(), g.YC(), g.ZC(), g.Y2C()
-		sendCounts := make([]int, p)
-		recvCounts := make([]int, p)
-		doTests := func(window []mpi.Request) {
-			if len(window) == 0 {
-				return
-			}
-			for j := 0; j < prm.F; j++ {
-				c.Test(window...)
-			}
-		}
-
-		// Phase A: tiles along x.
-		kA := (g.XD.MaxCount() + prm.TA - 1) / prm.TA
-		boundsA := func(i int) (int, int) {
-			lo, hi := i*prm.TA, i*prm.TA+prm.TA
-			if lo > xc {
-				lo = xc
-			}
-			if hi > xc {
-				hi = xc
-			}
-			return lo, hi
-		}
-		reqsA := make([]mpi.Request, kA)
-		runPhase(kA, prm.WA, reqsA, c,
-			func(i int, window []mpi.Request) {
-				x0, x1 := boundsA(i)
-				c.Advance(fftCost((x1-x0)*yc, g.Nz))
-				doTests(window)
-				c.Advance(copyCost((x1 - x0) * yc * g.Nz))
-				doTests(window)
-			},
-			func(i int) mpi.Request {
-				x0, x1 := boundsA(i)
-				for j := range sendCounts {
-					sendCounts[j], recvCounts[j] = 0, 0
-				}
-				for cj := 0; cj < g.PC; cj++ {
-					sendCounts[g.GlobalRank(g.RI, cj)] = (x1 - x0) * yc * g.ZD.Count(cj)
-					recvCounts[g.GlobalRank(g.RI, cj)] = (x1 - x0) * g.YD.Count(cj) * zc
-				}
-				return c.Ialltoallv(nil, sendCounts, nil, recvCounts)
-			},
-			func(i int, window []mpi.Request) {
-				x0, x1 := boundsA(i)
-				c.Advance(copyCost((x1 - x0) * g.Ny * zc))
-				doTests(window)
-				c.Advance(fftCost((x1-x0)*zc, g.Ny))
-				doTests(window)
-			})
-
-		// Phase B: tiles along z.
-		kB := (g.ZD.MaxCount() + prm.TB - 1) / prm.TB
-		boundsB := func(i int) (int, int) {
-			lo, hi := i*prm.TB, i*prm.TB+prm.TB
-			if lo > zc {
-				lo = zc
-			}
-			if hi > zc {
-				hi = zc
-			}
-			return lo, hi
-		}
-		reqsB := make([]mpi.Request, kB)
-		runPhase(kB, prm.WB, reqsB, c,
-			func(i int, window []mpi.Request) {
-				z0, z1 := boundsB(i)
-				c.Advance(copyCost(xc * g.Ny * (z1 - z0)))
-				doTests(window)
-			},
-			func(i int) mpi.Request {
-				z0, z1 := boundsB(i)
-				for j := range sendCounts {
-					sendCounts[j], recvCounts[j] = 0, 0
-				}
-				for ri := 0; ri < g.PR; ri++ {
-					sendCounts[g.GlobalRank(ri, g.CI)] = xc * g.YD2.Count(ri) * (z1 - z0)
-					recvCounts[g.GlobalRank(ri, g.CI)] = g.XD.Count(ri) * y2c * (z1 - z0)
-				}
-				return c.Ialltoallv(nil, sendCounts, nil, recvCounts)
-			},
-			func(i int, window []mpi.Request) {
-				z0, z1 := boundsB(i)
-				c.Advance(copyCost(g.Nx * y2c * (z1 - z0)))
-				doTests(window)
-				c.Advance(fftCost(y2c*(z1-z0), g.Nx))
-				doTests(window)
-			})
 		ends[c.Rank()] = c.Now()
 	})
 	if err != nil {
 		return 0, err
 	}
-	var max int64
-	for _, e := range ends {
-		if e > max {
-			max = e
-		}
-	}
-	return max, nil
+	return slices.Max(ends), nil
 }
+
+// costStages charge one exchange phase's kernels in virtual time: each 1-D
+// FFT at FFTNsPerUnit·N·log₂N per row, and each pack or unpack as a
+// streaming copy at 1.5× the per-element memory cost (the copies stride
+// through the pencil). Phase A is FFTz+pack / unpack+FFTy, phase B
+// pack / unpack+FFTx, with F Test calls after every step.
+type costStages struct {
+	c          *sim.Comm
+	cmp        machine.Compute
+	x          exchange
+	f          int
+	send, recv []int
+	b          pfft.Breakdown
+}
+
+func (s *costStages) fft(rows, length int) {
+	var ns int64
+	switch {
+	case rows <= 0:
+	case length < 2:
+		ns = int64(s.cmp.FFTNsPerUnit * float64(rows))
+	default:
+		ns = int64(s.cmp.FFTNsPerUnit * float64(rows) * float64(length) * math.Log2(float64(length)))
+	}
+	s.c.Advance(ns)
+}
+
+func (s *costStages) copy(elems int) { s.c.Advance(int64(s.cmp.MemNsPerElem * 1.5 * float64(elems))) }
+
+func (s *costStages) poll(win []mpi.Request) { pfft.Poll(s.c, win, s.f, &s.b, nil) }
+
+func (s *costStages) Front(i, _ int, win []mpi.Request) {
+	g := s.x.g
+	lo, hi := s.x.bounds(i)
+	send, _ := s.x.lens(i)
+	if !s.x.colB {
+		s.fft((hi-lo)*g.YC(), g.Nz)
+		s.poll(win)
+	}
+	s.copy(send)
+	s.poll(win)
+}
+
+func (s *costStages) Post(i, _ int) mpi.Request {
+	s.x.counts(i, s.send, s.recv)
+	return s.c.Ialltoallv(nil, s.send, nil, s.recv)
+}
+
+func (s *costStages) Back(i, _ int, win []mpi.Request) {
+	g := s.x.g
+	lo, hi := s.x.bounds(i)
+	_, recv := s.x.lens(i)
+	s.copy(recv)
+	s.poll(win)
+	if s.x.colB {
+		s.fft(g.Y2C()*(hi-lo), g.Nx)
+	} else {
+		s.fft((hi-lo)*g.ZC(), g.Ny)
+	}
+	s.poll(win)
+}
+
+func (s *costStages) Acct(int) *pfft.Breakdown { return &s.b }

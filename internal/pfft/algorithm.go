@@ -5,230 +5,72 @@ import (
 	"offt/internal/mpi"
 )
 
-// runOverlapped is Algorithm 1: the pipelined loop overlapping FFTy+Pack
-// and Unpack+FFTx on some tiles with the non-blocking all-to-all on others.
-// Iteration i packs tile i, waits for tile i−W, posts tile i, and unpacks
-// tile i−W, so at most W tiles have communication in flight.
-//
-// On a misbehaving transport — a tile wait missing its soft deadline, or
-// persistent retransmission pressure — the loop downgrades: the remaining
-// tiles run on the blocking per-tile path (see downgradeForward), which
-// still produces the numerically identical transform because both paths
-// issue exactly one all-to-all per tile in tile order, so the collective
-// sequence numbers keep matching even when only some ranks downgrade.
-func runOverlapped(rs *runState, e Engine, prm Params, fast bool, b *Breakdown) {
-	g := e.Grid()
-	c := e.Comm()
-	tl, err := layout.NewTiling(g.Nz, prm.T)
-	if err != nil {
-		panic(err) // unreachable: Validate checked T
-	}
-	k := tl.NumTiles()
-	w := prm.W
-	slots := w + 1
-	rs.reset(c, k)
-	reqs := rs.reqs
-	mon := &rs.mon
-
-	rec := recOf(c)
-
-	for i := 0; i < k+w; i++ {
-		if i < k {
-			// Test targets during FFTy+Pack: the W previous tiles (Alg. 2).
-			lo := i - w
-			if lo < 0 {
-				lo = 0
-			}
-			fftyPack(e, c, g, prm, tl, i, i%slots, fast, reqs[lo:i], b)
-		}
-		if i >= w {
-			t := c.Now()
-			ok := mon.WaitTile(c, reqs[i-w])
-			now := c.Now()
-			b.Wait += now - t
-			rec.add("Wait", t, now, i-w)
-			if !ok {
-				downgradeForward(e, prm, fast, tl, reqs, i, b)
-				return
-			}
-		}
-		if i < k {
-			t := c.Now()
-			reqs[i] = e.PostTile(i%slots, tl.TileLen(i))
-			now := c.Now()
-			b.Ialltoall += now - t
-			rec.add("Ialltoall", t, now, i)
-		}
-		if i >= w {
-			// Test targets during Unpack+FFTx: the W next tiles already
-			// posted (Alg. 3).
-			j := i - w
-			hi := j + w + 1
-			if hi > k {
-				hi = k
-			}
-			if i+1 < hi {
-				hi = i + 1
-			}
-			unpackFFTx(e, c, g, prm, tl, j, j%slots, fast, reqs[j+1:hi], b)
-		}
-	}
+// fwdStages are the forward slab transform's pipeline stages over an
+// Engine: loop-tiled FFTy+Pack in front (Algorithm 2) and Unpack+FFTx
+// behind (Algorithm 3), with the Fy/Fp/Fu/Fx Test calls spread over the
+// sub-tiles. The same stages drive the real engine and the cost-model
+// engine, so simulation runs the control flow the real transform runs.
+type fwdStages struct {
+	e    Engine
+	c    mpi.Comm
+	g    layout.Grid
+	prm  Params
+	tl   layout.Tiling
+	fast bool
+	b    Breakdown
+	rec  *Recorder
 }
 
-// downgradeForward finishes the transform on the blocking path after the
-// overlapped loop gave up at iteration i (while waiting on tile i−W). At
-// that point tiles < i−W are fully done, tiles i−W..min(i,k)−1 are posted
-// but not unpacked, tile i (when i < k) is packed but not posted, and
-// later tiles are untouched. The drain keeps one collective per tile in
-// tile order so sequence numbers stay aligned with ranks that did not
-// downgrade, and plain Wait is safe here: soft deadlines leave requests
-// valid and the self-healing transport still converges.
-func downgradeForward(e Engine, prm Params, fast bool, tl layout.Tiling, reqs []mpi.Request, i int, b *Breakdown) {
-	g := e.Grid()
-	c := e.Comm()
-	rec := recOf(c)
-	k := tl.NumTiles()
-	w := prm.W
-	slots := w + 1
-	noteDowngrade(e, i-w)
-	b.Downgrades++
-	hi := i
-	if hi > k {
-		hi = k
-	}
-	for j := i - w; j < hi; j++ {
-		t := c.Now()
-		c.Wait(reqs[j])
-		now := c.Now()
-		b.Wait += now - t
-		rec.add("Wait", t, now, j)
-		unpackFFTx(e, c, g, prm, tl, j, j%slots, fast, nil, b)
-	}
-	if i < k {
-		t := c.Now()
-		e.AlltoallTile(i%slots, tl.TileLen(i))
-		now := c.Now()
-		b.Wait += now - t
-		rec.add("Alltoall", t, now, i)
-		unpackFFTx(e, c, g, prm, tl, i, i%slots, fast, nil, b)
-	}
-	for j := i + 1; j < k; j++ {
-		fftyPack(e, c, g, prm, tl, j, j%slots, fast, nil, b)
-		t := c.Now()
-		e.AlltoallTile(j%slots, tl.TileLen(j))
-		now := c.Now()
-		b.Wait += now - t
-		rec.add("Alltoall", t, now, j)
-		unpackFFTx(e, c, g, prm, tl, j, j%slots, fast, nil, b)
-	}
-}
-
-// runBlocking is the non-overlapped path shared by Baseline, NEW-0 and
-// TH-0: per tile, FFTy+Pack, a blocking all-to-all, then Unpack+FFTx. The
-// Baseline uses a single tile spanning the whole slab (one big
-// MPI_Alltoall, like FFTW).
-func runBlocking(e Engine, prm Params, fast bool, b *Breakdown) {
-	g := e.Grid()
-	c := e.Comm()
-	rec := recOf(c)
-	tl, err := layout.NewTiling(g.Nz, prm.T)
-	if err != nil {
-		panic(err)
-	}
-	for i := 0; i < tl.NumTiles(); i++ {
-		fftyPack(e, c, g, prm, tl, i, 0, fast, nil, b)
-		t := c.Now()
-		e.AlltoallTile(0, tl.TileLen(i))
-		now := c.Now()
-		b.Wait += now - t
-		rec.add("Alltoall", t, now, i)
-		unpackFFTx(e, c, g, prm, tl, i, 0, fast, nil, b)
-	}
-}
-
-// fftyPack is Algorithm 2: loop-tiled FFTy and Pack over one communication
-// tile, with Fy Test calls distributed across the FFTy portions and Fp
-// across the Pack portions.
-func fftyPack(e Engine, c mpi.Comm, g layout.Grid, prm Params, tl layout.Tiling, tile, slot int, fast bool, window []mpi.Request, b *Breakdown) {
-	zt0, ztl := tl.TileStart(tile), tl.TileLen(tile)
-	nSub := layout.NumSubTiles(ztl, prm.Pz) * layout.NumSubTiles(g.XC(), prm.Px)
-	rec := recOf(c)
+// Front is Algorithm 2: FFTy and Pack over one communication tile in
+// Px×Pz sub-tiles, with Fy Test calls spread across the FFTy portions and
+// Fp across the Pack portions.
+func (s *fwdStages) Front(tile, slot int, window []mpi.Request) {
+	e, c, prm := s.e, s.c, s.prm
+	zt0, ztl := s.tl.TileStart(tile), s.tl.TileLen(tile)
+	nSub := layout.NumSubTiles(ztl, prm.Pz) * layout.NumSubTiles(s.g.XC(), prm.Px)
 	u := 0
 	layout.SubTiles(ztl, prm.Pz, func(z0, z1 int) {
-		layout.SubTiles(g.XC(), prm.Px, func(x0, x1 int) {
+		layout.SubTiles(s.g.XC(), prm.Px, func(x0, x1 int) {
 			t := c.Now()
-			e.FFTySub(fast, zt0, z0, z1, x0, x1)
-			now := c.Now()
-			b.FFTy += now - t
-			rec.add("FFTy", t, now, tile)
-			doTests(c, window, testsDue(prm.Fy, u, nSub), b)
+			e.FFTySub(s.fast, zt0, z0, z1, x0, x1)
+			EndStep(c, s.rec, "FFTy", tile, t, &s.b.FFTy)
+			Poll(c, window, testsDue(prm.Fy, u, nSub), &s.b, s.rec)
 			t = c.Now()
-			e.PackSub(slot, fast, zt0, ztl, z0, z1, x0, x1)
-			now = c.Now()
-			b.Pack += now - t
-			rec.add("Pack", t, now, tile)
-			doTests(c, window, testsDue(prm.Fp, u, nSub), b)
+			e.PackSub(slot, s.fast, zt0, ztl, z0, z1, x0, x1)
+			EndStep(c, s.rec, "Pack", tile, t, &s.b.Pack)
+			Poll(c, window, testsDue(prm.Fp, u, nSub), &s.b, s.rec)
 			u++
 		})
 	})
 }
 
-// unpackFFTx is Algorithm 3: loop-tiled Unpack and FFTx over one
-// communication tile, with Fu Test calls during Unpack portions and Fx
+// Post starts the tile's non-blocking all-to-all.
+func (s *fwdStages) Post(tile, slot int) mpi.Request {
+	return s.e.PostTile(slot, s.tl.TileLen(tile))
+}
+
+// Back is Algorithm 3: Unpack and FFTx over one communication tile in
+// Uy×Uz sub-tiles, with Fu Test calls during Unpack portions and Fx
 // during FFTx portions.
-func unpackFFTx(e Engine, c mpi.Comm, g layout.Grid, prm Params, tl layout.Tiling, tile, slot int, fast bool, window []mpi.Request, b *Breakdown) {
-	zt0, ztl := tl.TileStart(tile), tl.TileLen(tile)
-	nSub := layout.NumSubTiles(ztl, prm.Uz) * layout.NumSubTiles(g.YC(), prm.Uy)
-	rec := recOf(c)
+func (s *fwdStages) Back(tile, slot int, window []mpi.Request) {
+	e, c, prm := s.e, s.c, s.prm
+	zt0, ztl := s.tl.TileStart(tile), s.tl.TileLen(tile)
+	nSub := layout.NumSubTiles(ztl, prm.Uz) * layout.NumSubTiles(s.g.YC(), prm.Uy)
 	u := 0
 	layout.SubTiles(ztl, prm.Uz, func(z0, z1 int) {
-		layout.SubTiles(g.YC(), prm.Uy, func(y0, y1 int) {
+		layout.SubTiles(s.g.YC(), prm.Uy, func(y0, y1 int) {
 			t := c.Now()
-			e.UnpackSub(slot, fast, zt0, ztl, z0, z1, y0, y1)
-			now := c.Now()
-			b.Unpack += now - t
-			rec.add("Unpack", t, now, tile)
-			doTests(c, window, testsDue(prm.Fu, u, nSub), b)
+			e.UnpackSub(slot, s.fast, zt0, ztl, z0, z1, y0, y1)
+			EndStep(c, s.rec, "Unpack", tile, t, &s.b.Unpack)
+			Poll(c, window, testsDue(prm.Fu, u, nSub), &s.b, s.rec)
 			t = c.Now()
-			e.FFTxSub(fast, zt0, z0, z1, y0, y1)
-			now = c.Now()
-			b.FFTx += now - t
-			rec.add("FFTx", t, now, tile)
-			doTests(c, window, testsDue(prm.Fx, u, nSub), b)
+			e.FFTxSub(s.fast, zt0, z0, z1, y0, y1)
+			EndStep(c, s.rec, "FFTx", tile, t, &s.b.FFTx)
+			Poll(c, window, testsDue(prm.Fx, u, nSub), &s.b, s.rec)
 			u++
 		})
 	})
 }
 
-// testsDue spreads f Test calls evenly over n units: it returns how many
-// are due right after unit u.
-func testsDue(f, u, n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return f*(u+1)/n - f*u/n
-}
-
-// doTests issues n MPI_Test calls over the window of active requests,
-// accounting the time to the Test bucket. Under a tracing communicator
-// the polls go through the inner communicator and the whole burst is
-// recorded as one event reusing the Breakdown's two timestamps, so
-// traced polling reads the clock exactly as often as untraced polling.
-func doTests(c mpi.Comm, window []mpi.Request, n int, b *Breakdown) {
-	if len(window) == 0 || n <= 0 {
-		return
-	}
-	tc, traced := c.(*traceComm)
-	if traced {
-		c = tc.Comm
-	}
-	t := c.Now()
-	for j := 0; j < n; j++ {
-		c.Test(window...)
-	}
-	now := c.Now()
-	b.Test += now - t
-	if traced {
-		tc.rec.addTestBurst(t, now)
-	}
-}
+// Acct charges every tile to the one transform's breakdown.
+func (s *fwdStages) Acct(int) *Breakdown { return &s.b }

@@ -67,30 +67,30 @@ func (c *countComm) Ialltoallv(send []complex128, sendCounts []int, recv []compl
 func (c *countComm) Test(reqs ...mpi.Request) bool { c.tests++; return false }
 func (c *countComm) Wait(reqs ...mpi.Request)      {}
 
-func TestDoTests(t *testing.T) {
+func TestPoll(t *testing.T) {
 	var b Breakdown
 	window := []mpi.Request{nil, nil}
 
 	// Empty window: no Test calls regardless of n.
 	c := &countComm{}
-	doTests(c, nil, 4, &b)
-	doTests(c, []mpi.Request{}, 4, &b)
+	Poll(c, nil, 4, &b, nil)
+	Poll(c, []mpi.Request{}, 4, &b, nil)
 	if c.tests != 0 {
-		t.Errorf("doTests with empty window issued %d Test calls, want 0", c.tests)
+		t.Errorf("Poll with empty window issued %d Test calls, want 0", c.tests)
 	}
 
 	// n ≤ 0: no-op.
 	c = &countComm{}
-	doTests(c, window, 0, &b)
-	doTests(c, window, -2, &b)
+	Poll(c, window, 0, &b, nil)
+	Poll(c, window, -2, &b, nil)
 	if c.tests != 0 {
-		t.Errorf("doTests with n ≤ 0 issued %d Test calls, want 0", c.tests)
+		t.Errorf("Poll with n ≤ 0 issued %d Test calls, want 0", c.tests)
 	}
 
 	// Otherwise exactly n Test calls over the window.
 	c = &countComm{}
-	doTests(c, window, 5, &b)
+	Poll(c, window, 5, &b, nil)
 	if c.tests != 5 {
-		t.Errorf("doTests(n=5) issued %d Test calls, want 5", c.tests)
+		t.Errorf("Poll(n=5) issued %d Test calls, want 5", c.tests)
 	}
 }

@@ -24,15 +24,16 @@ func Backward3D(c mpi.Comm, g layout.Grid, slab []complex128, v Variant, prm Par
 	if err != nil {
 		return nil, Breakdown{}, err
 	}
-	var rs runState
-	b, err := e.run(&rs, slab, v, prm)
+	var pl Pipeline
+	b, err := e.run(&pl, slab, v, prm)
 	if err != nil {
 		return nil, Breakdown{}, err
 	}
 	return e.in, b, nil
 }
 
-// backEngine holds the backward pipeline's state for one rank. In the
+// backEngine holds the backward pipeline's state for one rank and is its
+// Stages: FFTx⁻¹+Repack in front, Scatter+FFTy⁻¹ behind. In the
 // breakdown, Repack time is accounted under Pack and Scatter under Unpack
 // (they are the corresponding copy steps of the reverse direction). A
 // backEngine is reusable: run may be called many times with fresh slabs,
@@ -53,7 +54,13 @@ type backEngine struct {
 	recvCounts         []int
 
 	pooled bool
-	trc    *traceRec // nil unless the plan runs in trace mode
+
+	// Per-run stage state, set by run.
+	prm  Params
+	tl   layout.Tiling
+	fast bool
+	b    Breakdown
+	rec  *Recorder
 }
 
 // newBackEngine prepares a reusable backward engine for one rank.
@@ -74,12 +81,6 @@ func newBackEngine(c mpi.Comm, g layout.Grid, flag fft.Flag, opts ...EngineOpt) 
 		planX: fft.Plan1DCached(g.Nx, fft.Backward, flag).Clone(),
 
 		pooled: cfg.pooled,
-		trc:    cfg.trace,
-	}
-	if cfg.trace != nil {
-		// Route Wait/Test through the recording communicator so the
-		// communication side of the timeline is captured too.
-		e.comm = &traceComm{Comm: c, rec: cfg.trace}
 	}
 	if cfg.pooled {
 		e.work = getSlab(g.InSize())
@@ -124,7 +125,8 @@ func (e *backEngine) Close() {
 
 // run executes one inverse transform on slab (this rank's y-slab in the
 // forward output layout; consumed) and leaves the x-y-z result in e.in.
-func (e *backEngine) run(rs *runState, slab []complex128, v Variant, prm Params) (Breakdown, error) {
+// Steps are recorded into pl.Rec.
+func (e *backEngine) run(pl *Pipeline, slab []complex128, v Variant, prm Params) (Breakdown, error) {
 	if v == TH || v == TH0 {
 		return Breakdown{}, fmt.Errorf("pfft: backward transform does not support the %v comparison model", v)
 	}
@@ -135,45 +137,41 @@ func (e *backEngine) run(rs *runState, slab []complex128, v Variant, prm Params)
 	if len(slab) != e.g.OutSize() {
 		return Breakdown{}, fmt.Errorf("pfft: backward slab length %d, want %d", len(slab), e.g.OutSize())
 	}
-	e.out = slab
-
-	c, g := e.comm, e.g
-	mpi.SetExchange(c, mpi.Exchange{Alg: prm.Comm})
-	var b Breakdown
-	start := c.Now()
-	fast := OutputFast(v, g)
-	if v == NEW {
-		e.runOverlapped(rs, prm, fast, &b)
-	} else {
-		e.runBlocking(prm, fast, &b)
+	tl, err := layout.NewTiling(e.g.Nz, prm.T)
+	if err != nil {
+		panic(err) // unreachable: Validate checked T
 	}
+	c, g := e.comm, e.g
+	e.out, e.prm, e.tl, e.fast, e.b, e.rec = slab, prm, tl, OutputFast(v, g), Breakdown{}, pl.Rec
+	selectExchange(c, prm.Comm, e.rec)
+	start := c.Now()
+	w := prm.W
+	if v != NEW {
+		w = 0 // blocking: one post+Wait per tile
+	}
+	pl.Run(c, e, tl.NumTiles(), w)
 
 	// Inverse transpose back to x-y-z, then inverse FFTz.
 	t := c.Now()
-	if fast {
+	if e.fast {
 		layout.TransposeXZYInv(e.in, e.work, g.XC(), g.Ny, g.Nz)
 	} else {
 		layout.TransposeZXYInv(e.in, e.work, g.XC(), g.Ny, g.Nz)
 	}
-	now := c.Now()
-	b.Transpose += now - t
-	e.trc.add("Transpose", t, now, -1)
-
+	EndStep(c, e.rec, "Transpose", -1, t, &e.b.Transpose)
 	t = c.Now()
 	e.planZ.TransformRows(e.in, g.XC()*g.Ny, g.Nz)
-	now = c.Now()
-	b.FFTz = now - t
-	e.trc.add("FFTz", t, now, -1)
+	EndStep(c, e.rec, "FFTz", -1, t, &e.b.FFTz)
 
-	b.Total = c.Now() - start
-	return b, nil
+	e.b.Total = c.Now() - start
+	return e.b, nil
 }
 
-// fftxRepack runs FFTx⁻¹ and Repack over one tile with Uy/Uz loop tiling,
+// Front runs FFTx⁻¹ and Repack over one tile with Uy/Uz loop tiling,
 // interleaving Fx and Fu Test calls over the window.
-func (e *backEngine) fftxRepack(prm Params, tl layout.Tiling, tile, slot int, fast bool, window []mpi.Request, b *Breakdown) {
-	c, g := e.comm, e.g
-	zt0, ztl := tl.TileStart(tile), tl.TileLen(tile)
+func (e *backEngine) Front(tile, slot int, window []mpi.Request) {
+	c, g, prm, fast := e.comm, e.g, e.prm, e.fast
+	zt0, ztl := e.tl.TileStart(tile), e.tl.TileLen(tile)
 	nSub := layout.NumSubTiles(ztl, prm.Uz) * layout.NumSubTiles(g.YC(), prm.Uy)
 	u := 0
 	buf := e.sendBuf(slot, ztl)
@@ -192,26 +190,22 @@ func (e *backEngine) fftxRepack(prm Params, tl layout.Tiling, tile, slot int, fa
 					e.planX.TransformRows(e.out[base:], y1-y0, g.Nx)
 				}
 			}
-			now := c.Now()
-			b.FFTx += now - t
-			e.trc.add("FFTx", t, now, tile)
-			doTests(c, window, testsDue(prm.Fx, u, nSub), b)
+			EndStep(c, e.rec, "FFTx", tile, t, &e.b.FFTx)
+			Poll(c, window, testsDue(prm.Fx, u, nSub), &e.b, e.rec)
 			t = c.Now()
 			g.RepackSubtile(buf, e.out, fast, zt0, ztl, y0, y1, z0, z1)
-			now = c.Now()
-			b.Pack += now - t
-			e.trc.add("Pack", t, now, tile)
-			doTests(c, window, testsDue(prm.Fu, u, nSub), b)
+			EndStep(c, e.rec, "Pack", tile, t, &e.b.Pack)
+			Poll(c, window, testsDue(prm.Fu, u, nSub), &e.b, e.rec)
 			u++
 		})
 	})
 }
 
-// scatterFFTy runs Scatter and FFTy⁻¹ over one tile with Px/Pz loop
-// tiling, interleaving Fp and Fy Test calls over the window.
-func (e *backEngine) scatterFFTy(prm Params, tl layout.Tiling, tile, slot int, fast bool, window []mpi.Request, b *Breakdown) {
-	c, g := e.comm, e.g
-	zt0, ztl := tl.TileStart(tile), tl.TileLen(tile)
+// Back runs Scatter and FFTy⁻¹ over one tile with Px/Pz loop tiling,
+// interleaving Fp and Fy Test calls over the window.
+func (e *backEngine) Back(tile, slot int, window []mpi.Request) {
+	c, g, prm, fast := e.comm, e.g, e.prm, e.fast
+	zt0, ztl := e.tl.TileStart(tile), e.tl.TileLen(tile)
 	nSub := layout.NumSubTiles(ztl, prm.Pz) * layout.NumSubTiles(g.XC(), prm.Px)
 	u := 0
 	buf := e.recvBuf(slot, ztl)
@@ -219,10 +213,8 @@ func (e *backEngine) scatterFFTy(prm Params, tl layout.Tiling, tile, slot int, f
 		layout.SubTiles(g.XC(), prm.Px, func(x0, x1 int) {
 			t := c.Now()
 			g.ScatterSubtile(e.work, buf, fast, zt0, ztl, z0, z1, x0, x1)
-			now := c.Now()
-			b.Unpack += now - t
-			e.trc.add("Unpack", t, now, tile)
-			doTests(c, window, testsDue(prm.Fp, u, nSub), b)
+			EndStep(c, e.rec, "Unpack", tile, t, &e.b.Unpack)
+			Poll(c, window, testsDue(prm.Fp, u, nSub), &e.b, e.rec)
 			t = c.Now()
 			// Batched over the layout's contiguous runs (see FFTySub).
 			if fast {
@@ -236,138 +228,24 @@ func (e *backEngine) scatterFFTy(prm Params, tl layout.Tiling, tile, slot int, f
 					e.planY.TransformRows(e.work[base:], x1-x0, g.Ny)
 				}
 			}
-			now = c.Now()
-			b.FFTy += now - t
-			e.trc.add("FFTy", t, now, tile)
-			doTests(c, window, testsDue(prm.Fy, u, nSub), b)
+			EndStep(c, e.rec, "FFTy", tile, t, &e.b.FFTy)
+			Poll(c, window, testsDue(prm.Fy, u, nSub), &e.b, e.rec)
 			u++
 		})
 	})
 }
 
-// postTile starts the reverse non-blocking all-to-all for one tile: the
-// send side carries the forward transform's receive-format blocks.
-func (e *backEngine) postTile(slot, ztl int) mpi.Request {
+// Post starts the reverse non-blocking all-to-all for one tile: the send
+// side carries the forward transform's receive-format blocks.
+func (e *backEngine) Post(tile, slot int) mpi.Request {
+	ztl := e.tl.TileLen(tile)
 	e.g.RecvCounts(ztl, e.sendCounts) // reverse direction
 	e.g.SendCounts(ztl, e.recvCounts)
 	return e.comm.Ialltoallv(e.sendBuf(slot, ztl), e.sendCounts, e.recvBuf(slot, ztl), e.recvCounts)
 }
 
-func (e *backEngine) alltoallTile(slot, ztl int) {
-	e.g.RecvCounts(ztl, e.sendCounts)
-	e.g.SendCounts(ztl, e.recvCounts)
-	e.comm.Alltoallv(e.sendBuf(slot, ztl), e.sendCounts, e.recvBuf(slot, ztl), e.recvCounts)
-}
-
-func (e *backEngine) runOverlapped(rs *runState, prm Params, fast bool, b *Breakdown) {
-	c := e.comm
-	tl, err := layout.NewTiling(e.g.Nz, prm.T)
-	if err != nil {
-		panic(err)
-	}
-	k := tl.NumTiles()
-	w := prm.W
-	slots := w + 1
-	rs.reset(c, k)
-	reqs := rs.reqs
-	mon := &rs.mon
-	for i := 0; i < k+w; i++ {
-		if i < k {
-			lo := i - w
-			if lo < 0 {
-				lo = 0
-			}
-			e.fftxRepack(prm, tl, i, i%slots, fast, reqs[lo:i], b)
-		}
-		if i >= w {
-			t := c.Now()
-			ok := mon.WaitTile(c, reqs[i-w])
-			now := c.Now()
-			b.Wait += now - t
-			e.trc.add("Wait", t, now, i-w)
-			if !ok {
-				e.downgrade(prm, fast, tl, reqs, i, b)
-				return
-			}
-		}
-		if i < k {
-			t := c.Now()
-			reqs[i] = e.postTile(i%slots, tl.TileLen(i))
-			now := c.Now()
-			b.Ialltoall += now - t
-			e.trc.add("Ialltoall", t, now, i)
-		}
-		if i >= w {
-			j := i - w
-			hi := j + w + 1
-			if hi > k {
-				hi = k
-			}
-			e.scatterFFTy(prm, tl, j, j%slots, fast, reqs[j+1:hi], b)
-		}
-	}
-}
-
-// downgrade finishes the backward transform on the blocking path after the
-// overlapped loop gave up at iteration i, mirroring downgradeForward: the
-// posted window is drained with plain Waits, the already-repacked tile i
-// goes through a blocking all-to-all, and the remaining tiles run the
-// per-tile blocking pipeline — one collective per tile in tile order, so
-// sequence numbers stay aligned with ranks still running overlapped.
-func (e *backEngine) downgrade(prm Params, fast bool, tl layout.Tiling, reqs []mpi.Request, i int, b *Breakdown) {
-	c := e.comm
-	k := tl.NumTiles()
-	w := prm.W
-	slots := w + 1
-	b.Downgrades++
-	e.trc.instant("Downgrade", c.Now(), i-w)
-	hi := i
-	if hi > k {
-		hi = k
-	}
-	for j := i - w; j < hi; j++ {
-		t := c.Now()
-		c.Wait(reqs[j])
-		now := c.Now()
-		b.Wait += now - t
-		e.trc.add("Wait", t, now, j)
-		e.scatterFFTy(prm, tl, j, j%slots, fast, nil, b)
-	}
-	if i < k {
-		t := c.Now()
-		e.alltoallTile(i%slots, tl.TileLen(i))
-		now := c.Now()
-		b.Wait += now - t
-		e.trc.add("Alltoall", t, now, i)
-		e.scatterFFTy(prm, tl, i, i%slots, fast, nil, b)
-	}
-	for j := i + 1; j < k; j++ {
-		e.fftxRepack(prm, tl, j, j%slots, fast, nil, b)
-		t := c.Now()
-		e.alltoallTile(j%slots, tl.TileLen(j))
-		now := c.Now()
-		b.Wait += now - t
-		e.trc.add("Alltoall", t, now, j)
-		e.scatterFFTy(prm, tl, j, j%slots, fast, nil, b)
-	}
-}
-
-func (e *backEngine) runBlocking(prm Params, fast bool, b *Breakdown) {
-	c := e.comm
-	tl, err := layout.NewTiling(e.g.Nz, prm.T)
-	if err != nil {
-		panic(err)
-	}
-	for i := 0; i < tl.NumTiles(); i++ {
-		e.fftxRepack(prm, tl, i, 0, fast, nil, b)
-		t := c.Now()
-		e.alltoallTile(0, tl.TileLen(i))
-		now := c.Now()
-		b.Wait += now - t
-		e.trc.add("Alltoall", t, now, i)
-		e.scatterFFTy(prm, tl, i, 0, fast, nil, b)
-	}
-}
+// Acct charges every tile to the one transform's breakdown.
+func (e *backEngine) Acct(int) *Breakdown { return &e.b }
 
 func (e *backEngine) sendBuf(slot, ztl int) []complex128 {
 	for len(e.sendBufs) <= slot {

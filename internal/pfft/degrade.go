@@ -12,12 +12,12 @@ import (
 // (tens to hundreds) so it only trips on a persistently failing transport.
 const retransmitDowngradeThreshold = 4096
 
-// FaultMonitor decides when an overlapped pipeline must downgrade to the
-// blocking path. It uses the engine's optional capabilities: soft wait
+// faultMonitor decides when an overlapped pipeline must downgrade to the
+// blocking mode. It uses the engine's optional capabilities: soft wait
 // deadlines (mpi.DeadlineWaiter) and transport-recovery counters
-// (mpi.HealthReporter). On engines with neither, WaitTile is plain Wait
+// (mpi.HealthReporter). On engines with neither, waitTile is plain Wait
 // and no downgrade ever triggers.
-type FaultMonitor struct {
+type faultMonitor struct {
 	dw       mpi.DeadlineWaiter
 	hr       mpi.HealthReporter
 	baseline int64 // Retransmits at pipeline start
@@ -27,9 +27,8 @@ type FaultMonitor struct {
 	one [1]mpi.Request
 }
 
-// Init (re-)arms the monitor for one pipeline execution. It is a value
-// method target so a reusable runState re-arms without allocating.
-func (m *FaultMonitor) Init(c mpi.Comm) {
+// init (re-)arms the monitor for one pipeline run.
+func (m *faultMonitor) init(c mpi.Comm) {
 	m.dw, _ = c.(mpi.DeadlineWaiter)
 	m.hr, _ = c.(mpi.HealthReporter)
 	m.baseline = 0
@@ -38,32 +37,25 @@ func (m *FaultMonitor) Init(c mpi.Comm) {
 	}
 }
 
-// WaitTile waits for one tile's collective and reports whether the
+// waitTile waits for one tile's collective and reports whether the
 // overlapped pipeline may continue. False means downgrade: either the
 // transport shows persistent retransmission pressure (checked before
 // blocking) or the soft wait deadline passed. In both cases the request
-// stays valid — the blocking path finishes it with a plain Wait.
-func (m *FaultMonitor) WaitTile(c mpi.Comm, req mpi.Request) bool {
+// stays valid — the blocking mode finishes it with a plain Wait.
+func (m *faultMonitor) waitTile(c mpi.Comm, req mpi.Request) bool {
 	if m.hr != nil && m.hr.TransportHealth().Retransmits-m.baseline > retransmitDowngradeThreshold {
 		return false
 	}
 	if m.dw == nil {
-		m.one[0] = req
-		c.Wait(m.one[:]...)
-		m.one[0] = nil
+		m.wait(c, req)
 		return true
 	}
 	return m.dw.WaitDeadline(req) == nil
 }
 
-// downgradeNoter is optionally implemented by engine wrappers (see
-// TraceEngine) to record an overlapped→blocking downgrade on the timeline.
-type downgradeNoter interface {
-	NoteDowngrade(tile int)
-}
-
-func noteDowngrade(e Engine, tile int) {
-	if n, ok := e.(downgradeNoter); ok {
-		n.NoteDowngrade(tile)
-	}
+// wait is a plain, allocation-free Wait on one request.
+func (m *faultMonitor) wait(c mpi.Comm, req mpi.Request) {
+	m.one[0] = req
+	c.Wait(m.one[:]...)
+	m.one[0] = nil
 }

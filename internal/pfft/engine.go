@@ -5,15 +5,18 @@ import (
 	"offt/internal/mpi"
 )
 
-// Engine is what the algorithm body runs on. The real engine (NewRealEngine)
+// Engine supplies the kernels of the forward slab transform, which Run
+// drives through the shared Pipeline. The real engine (NewRealEngine)
 // performs the arithmetic; the cost-model engine (package model) charges
-// virtual time. Sub-tile coordinates follow package layout's conventions:
+// virtual time for the same calls. Sub-tile coordinates follow package layout's conventions:
 // zt0/ztl identify the communication tile (absolute start and length on z),
 // z ranges are tile-local [z0, z1) ⊆ [0, ztl), x/y ranges are rank-local.
 //
-// Communication buffers are managed per slot: the algorithm assigns slot
+// Communication buffers are managed per slot: the pipeline assigns slot
 // i mod (W+1) to tile i, guaranteeing a slot's previous tile has been
-// waited for and unpacked before reuse.
+// waited for and unpacked before reuse. There is no blocking all-to-all:
+// the blocking variants post a tile and Wait on it, which is what
+// Alltoallv does on every mpi engine.
 type Engine interface {
 	// Grid returns the rank's geometry.
 	Grid() layout.Grid
@@ -33,8 +36,6 @@ type Engine interface {
 	PackSub(slot int, fast bool, zt0, ztl, z0, z1, x0, x1 int)
 	// PostTile starts the non-blocking all-to-all for the tile in slot.
 	PostTile(slot int, ztl int) mpi.Request
-	// AlltoallTile performs the blocking all-to-all for the tile in slot.
-	AlltoallTile(slot int, ztl int)
 	// UnpackSub unpacks sub-tile y∈[y0,y1), tile-local z∈[z0,z1) from
 	// slot's receive buffer into the output slab.
 	UnpackSub(slot int, fast bool, zt0, ztl, z0, z1, y0, y1 int)
@@ -42,25 +43,12 @@ type Engine interface {
 	FFTxSub(fast bool, zt0, z0, z1, y0, y1 int)
 }
 
-// runState is the per-execution scratch of the pipelined loop: the tile
-// request window and the fault monitor. A Plan owns one and reuses it
-// across executions so the steady state allocates nothing; the one-shot
-// entry points stack-allocate a fresh one per call.
+// runState is a forward execution's reusable scratch: the pipeline and
+// the stages it drives. A Plan owns one so the steady state allocates
+// nothing; the one-shot entry points use a fresh one per call.
 type runState struct {
-	reqs []mpi.Request
-	mon  FaultMonitor
-}
-
-// reset prepares the state for a run over k tiles on communicator c.
-func (rs *runState) reset(c mpi.Comm, k int) {
-	if cap(rs.reqs) < k {
-		rs.reqs = make([]mpi.Request, k)
-	}
-	rs.reqs = rs.reqs[:k]
-	for i := range rs.reqs {
-		rs.reqs[i] = nil
-	}
-	rs.mon.Init(c)
+	pl Pipeline
+	st fwdStages
 }
 
 // ExpandParams performs the variant-specific parameter expansion that Run
@@ -111,45 +99,40 @@ func Run(e Engine, v Variant, prm Params) (Breakdown, error) {
 }
 
 // runWith is Run on a caller-owned runState, letting a Plan reuse the
-// request window and fault monitor across executions.
+// pipeline, its request window and its stages across executions. Steps
+// are recorded into rs.pl.Rec.
 func runWith(rs *runState, e Engine, v Variant, prm Params) (Breakdown, error) {
 	g := e.Grid()
 	prm, err := ExpandParams(v, g, prm)
 	if err != nil {
 		return Breakdown{}, err
 	}
-	var b Breakdown
+	tl, err := layout.NewTiling(g.Nz, prm.T)
+	if err != nil {
+		panic(err) // unreachable: Validate checked T
+	}
 	c := e.Comm()
-	// Select the tuned all-to-all schedule for every exchange this run
-	// posts. Engines without an ExchangeSetter (the single-rank self
-	// communicator) are pairwise-equivalent, so the no-op is fine.
-	mpi.SetExchange(c, mpi.Exchange{Alg: prm.Comm})
-	rec := recOf(c)
-	start := c.Now()
-
+	rec := rs.pl.Rec
+	selectExchange(c, prm.Comm, rec)
 	// The §3.5 fast transpose applies only to NEW (and its ablation) when
 	// Nx == Ny; TH and the FFTW baseline always use the standard layout.
 	fast := g.FastPathOK() && (v == NEW || v == NEW0)
-	optimizedTranspose := v != TH && v != TH0
+	rs.st = fwdStages{e: e, c: c, g: g, prm: prm, tl: tl, fast: fast, rec: rec}
+	s := &rs.st
+	start := c.Now()
 
 	t := c.Now()
 	e.FFTz()
-	now := c.Now()
-	b.FFTz = now - t
-	rec.add("FFTz", t, now, -1)
-
+	EndStep(c, rec, "FFTz", -1, t, &s.b.FFTz)
 	t = c.Now()
-	e.Transpose(fast, optimizedTranspose)
-	now = c.Now()
-	b.Transpose += now - t
-	rec.add("Transpose", t, now, -1)
+	e.Transpose(fast, v != TH && v != TH0)
+	EndStep(c, rec, "Transpose", -1, t, &s.b.Transpose)
 
-	switch v {
-	case Baseline, NEW0, TH0:
-		runBlocking(e, prm, fast, &b)
-	case NEW, TH:
-		runOverlapped(rs, e, prm, fast, &b)
+	w := prm.W
+	if v == Baseline || v == NEW0 || v == TH0 {
+		w = 0 // blocking: one post+Wait per tile
 	}
-	b.Total = c.Now() - start
-	return b, nil
+	rs.pl.Run(c, s, tl.NumTiles(), w)
+	s.b.Total = c.Now() - start
+	return s.b, nil
 }

@@ -12,8 +12,9 @@ import (
 // Kandalla et al. style the paper compares against (§6) and proposes to
 // combine with its intra-array method (§7): while one array's all-to-all
 // is in flight, the CPU computes on other arrays. Each array has its own
-// Engine (its own slab and buffers) over the same communicator; `window`
-// bounds the number of arrays with communication in flight.
+// Engine (its own slab and buffers) over the same communicator. The arrays
+// are the tiles of the shared Pipeline, which posts each array before
+// waiting on the one `window` arrays back (Pipeline.postFirst).
 //
 // Each array is processed as a single whole-slab tile (no intra-array
 // tiling): FFTz → Transpose → FFTy → Pack → non-blocking all-to-all, then
@@ -38,87 +39,71 @@ func RunMany(engines []Engine, window int) ([]Breakdown, error) {
 			return nil, fmt.Errorf("pfft: RunMany engines must share one communicator")
 		}
 	}
-	bs := make([]Breakdown, m)
-	reqs := make([]mpi.Request, m)
-	starts := make([]int64, m)
-
-	pending := func(hi int) []mpi.Request {
-		lo := hi - window
-		if lo < 0 {
-			lo = 0
-		}
-		var out []mpi.Request
-		for i := lo; i < hi; i++ {
-			if reqs[i] != nil {
-				out = append(out, reqs[i])
-			}
-		}
-		return out
+	s := &manyStages{
+		engines: engines, c: c, window: window,
+		bs: make([]Breakdown, m), starts: make([]int64, m), posted: make([]mpi.Request, m),
 	}
-
-	for i := 0; i < m+window; i++ {
-		if i < m {
-			e := engines[i]
-			g := e.Grid()
-			b := &bs[i]
-			starts[i] = c.Now()
-
-			t := c.Now()
-			e.FFTz()
-			b.FFTz = c.Now() - t
-
-			t = c.Now()
-			e.Transpose(false, true)
-			b.Transpose = c.Now() - t
-
-			doTests(c, pending(i), 1, b)
-
-			t = c.Now()
-			e.FFTySub(false, 0, 0, g.Nz, 0, g.XC())
-			b.FFTy = c.Now() - t
-
-			doTests(c, pending(i), 1, b)
-
-			t = c.Now()
-			e.PackSub(0, false, 0, g.Nz, 0, g.Nz, 0, g.XC())
-			b.Pack = c.Now() - t
-
-			t = c.Now()
-			reqs[i] = e.PostTile(0, g.Nz)
-			b.Ialltoall = c.Now() - t
-		}
-		if i >= window && i-window < m {
-			j := i - window
-			e := engines[j]
-			g := e.Grid()
-			b := &bs[j]
-
-			t := c.Now()
-			c.Wait(reqs[j])
-			b.Wait += c.Now() - t
-
-			t = c.Now()
-			e.UnpackSub(0, false, 0, g.Nz, 0, g.Nz, 0, g.YC())
-			b.Unpack = c.Now() - t
-
-			doTests(c, pending(min2(i+1, m)), 1, b)
-
-			t = c.Now()
-			e.FFTxSub(false, 0, 0, g.Nz, 0, g.YC())
-			b.FFTx = c.Now() - t
-
-			b.Total = c.Now() - starts[j]
-		}
-	}
-	return bs, nil
+	pl := Pipeline{postFirst: true}
+	pl.Run(c, s, m, window)
+	return s.bs, nil
 }
 
-func min2(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+// manyStages runs whole arrays as pipeline tiles: array i's front is FFTz,
+// Transpose, FFTy and Pack, its back Unpack and FFTx, each array in slot 0
+// of its own engine. Every array keeps its own Breakdown, Total included.
+type manyStages struct {
+	engines []Engine
+	c       mpi.Comm
+	window  int
+	bs      []Breakdown
+	starts  []int64
+	posted  []mpi.Request
 }
+
+func (s *manyStages) Front(i, _ int, window []mpi.Request) {
+	e, c, b := s.engines[i], s.c, &s.bs[i]
+	g := e.Grid()
+	s.starts[i] = c.Now()
+	t := c.Now()
+	e.FFTz()
+	b.FFTz = c.Now() - t
+	t = c.Now()
+	e.Transpose(false, true)
+	b.Transpose = c.Now() - t
+	Poll(c, window, 1, b, nil)
+	t = c.Now()
+	e.FFTySub(false, 0, 0, g.Nz, 0, g.XC())
+	b.FFTy = c.Now() - t
+	Poll(c, window, 1, b, nil)
+	t = c.Now()
+	e.PackSub(0, false, 0, g.Nz, 0, g.Nz, 0, g.XC())
+	b.Pack = c.Now() - t
+}
+
+func (s *manyStages) Post(i, _ int) mpi.Request {
+	s.posted[i] = s.engines[i].PostTile(0, s.engines[i].Grid().Nz)
+	return s.posted[i]
+}
+
+// Back polls the `window` most recently posted arrays, not the driver's
+// window: once every array is posted, that includes arrays already waited
+// for. This is the inter-array Test cadence the pinned virtual times
+// (tuner.TestGoldenVirtualTimes) hold RunMany to.
+func (s *manyStages) Back(j, _ int, _ []mpi.Request) {
+	e, c, b := s.engines[j], s.c, &s.bs[j]
+	g := e.Grid()
+	t := c.Now()
+	e.UnpackSub(0, false, 0, g.Nz, 0, g.Nz, 0, g.YC())
+	b.Unpack = c.Now() - t
+	hi := min(j+s.window+1, len(s.engines))
+	Poll(c, s.posted[max(0, hi-s.window):hi], 1, b, nil)
+	t = c.Now()
+	e.FFTxSub(false, 0, 0, g.Nz, 0, g.YC())
+	b.FFTx = c.Now() - t
+	b.Total = c.Now() - s.starts[j]
+}
+
+func (s *manyStages) Acct(i int) *Breakdown { return &s.bs[i] }
 
 // ForwardMany3D runs m independent forward transforms with inter-array
 // overlap on the real engine: slabs[i] is array i's x-slab for this rank

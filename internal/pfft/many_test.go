@@ -3,12 +3,17 @@ package pfft
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"offt/internal/fft"
 	"offt/internal/layout"
+	"offt/internal/mpi/fault"
 	"offt/internal/mpi/mem"
 )
 
+// TestForwardManyMatchesSerial: the inter-array pipeline matches the
+// serial transform, also when a 1 ns wait deadline under dropped messages
+// downgrades it to the blocking drain (arrays posted first).
 func TestForwardManyMatchesSerial(t *testing.T) {
 	nx, p, m := 12, 3, 4 // m arrays
 	fulls := make([][]complex128, m)
@@ -17,41 +22,63 @@ func TestForwardManyMatchesSerial(t *testing.T) {
 		fulls[i] = randCube(nx, nx, nx, int64(100+i))
 		wants[i] = serialReference(fulls[i], nx, nx, nx)
 	}
-	w := mem.NewWorld(p)
-	outs := make([][][]complex128, p) // [rank][array]
-	var mu sync.Mutex
-	err := w.Run(func(c *mem.Comm) {
-		g, err := layout.NewGrid(nx, nx, nx, p, c.Rank())
-		if err != nil {
-			panic(err)
-		}
-		slabs := make([][]complex128, m)
-		for i := range slabs {
-			slabs[i] = layout.ScatterX(fulls[i], g)
-		}
-		o, bs, err := ForwardMany3D(c, g, slabs, 2, fft.Estimate)
-		if err != nil {
-			panic(err)
-		}
-		if len(bs) != m {
-			panic("wrong breakdown count")
-		}
-		mu.Lock()
-		outs[c.Rank()] = o
-		mu.Unlock()
-	})
+	fp, err := fault.NewPlan(5, fault.ProfileDrop, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < m; i++ {
-		slabs := make([][]complex128, p)
-		for r := 0; r < p; r++ {
-			slabs[r] = outs[r][i]
-		}
-		got := layout.GatherY(slabs, nx, nx, nx, p, false)
-		if e := maxErr(got, wants[i]); e > tol {
-			t.Errorf("array %d: error %g", i, e)
-		}
+	for _, tc := range []struct {
+		name     string
+		degraded bool
+		opts     []mem.Option
+	}{
+		{"healthy", false, nil},
+		{"degraded", true, []mem.Option{mem.WithFaults(fp), mem.WithDeadline(time.Nanosecond)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := mem.NewWorld(p, tc.opts...)
+			outs := make([][][]complex128, p) // [rank][array]
+			var downgrades int64
+			var mu sync.Mutex
+			err := w.Run(func(c *mem.Comm) {
+				g, err := layout.NewGrid(nx, nx, nx, p, c.Rank())
+				if err != nil {
+					panic(err)
+				}
+				slabs := make([][]complex128, m)
+				for i := range slabs {
+					slabs[i] = layout.ScatterX(fulls[i], g)
+				}
+				o, bs, err := ForwardMany3D(c, g, slabs, 2, fft.Estimate)
+				if err != nil {
+					panic(err)
+				}
+				if len(bs) != m {
+					panic("wrong breakdown count")
+				}
+				mu.Lock()
+				outs[c.Rank()] = o
+				for _, b := range bs {
+					downgrades += b.Downgrades
+				}
+				mu.Unlock()
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.degraded && downgrades == 0 {
+				t.Error("no downgrade under a 1 ns wait deadline")
+			}
+			for i := 0; i < m; i++ {
+				slabs := make([][]complex128, p)
+				for r := 0; r < p; r++ {
+					slabs[r] = outs[r][i]
+				}
+				got := layout.GatherY(slabs, nx, nx, nx, p, false)
+				if e := maxErr(got, wants[i]); e > tol {
+					t.Errorf("array %d: error %g", i, e)
+				}
+			}
+		})
 	}
 }
 

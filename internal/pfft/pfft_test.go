@@ -143,7 +143,7 @@ func TestQuickRandomParamsMatchSerial(t *testing.T) {
 		prm.Pz = 1 + int(pzv)%prm.T
 		prm.Uz = 1 + int(uzv)%prm.T
 		numTiles := (nz + prm.T - 1) / prm.T
-		prm.W = 1 + int(wv)%min2(4, numTiles)
+		prm.W = 1 + int(wv)%min(4, numTiles)
 		if err := prm.Validate(g0); err != nil {
 			t.Fatalf("generated invalid params %v: %v", prm, err)
 		}

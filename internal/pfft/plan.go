@@ -40,9 +40,10 @@ func WithTelemetry(r *telemetry.Registry) PlanOpt {
 }
 
 // WithTrace records a StepEvent timeline of each execution, readable via
-// Trace after Forward/Backward. Tracing wraps every kernel and Wait/Test
-// call with clock reads, so it is for timeline capture, not for steady-
-// state benchmarking.
+// Trace after Forward/Backward. Events reuse the clock reads the
+// Breakdown takes anyway, but appending them allocates as the timeline
+// grows, so tracing is for timeline capture, not steady-state
+// benchmarking.
 func WithTrace() PlanOpt {
 	return func(c *planConfig) { c.trace = true }
 }
@@ -69,12 +70,11 @@ type Plan struct {
 
 	fwd *RealEngine
 	bwd *backEngine // lazily built on first Backward
-	rs  runState    // forward pipeline scratch
-	brs runState    // backward pipeline scratch
+	rs  runState    // forward pipeline and stages
+	bpl Pipeline    // backward pipeline (its stages are bwd)
 
-	trc  *traceRec          // shared step recorder, nil unless WithTrace
-	tfwd *TraceEngine       // tracing wrapper around fwd, nil unless WithTrace
-	met  *BreakdownObserver // nil unless WithTelemetry
+	trc *Recorder          // shared step recorder, nil unless WithTrace
+	met *BreakdownObserver // nil unless WithTelemetry
 
 	last   Breakdown
 	closed bool
@@ -106,8 +106,8 @@ func NewPlan(c mpi.Comm, g layout.Grid, v Variant, prm Params, flag fft.Flag, op
 	p.fwd.PresizeSlots(expanded)
 	p.met = NewBreakdownObserver(p.cfg.reg, "pfft")
 	if p.cfg.trace {
-		p.trc = &traceRec{}
-		p.tfwd = newTraceEngineRec(p.fwd, expanded, p.trc)
+		p.trc = &Recorder{}
+		p.rs.pl.Rec, p.bpl.Rec = p.trc, p.trc
 	}
 	return p, nil
 }
@@ -149,16 +149,8 @@ func (p *Plan) Forward(slab []complex128) ([]complex128, Breakdown, error) {
 	if err := p.fwd.Reset(slab); err != nil {
 		return nil, Breakdown{}, err
 	}
-	var (
-		b   Breakdown
-		err error
-	)
-	if p.tfwd != nil {
-		p.trc.reset()
-		b, err = runWith(&p.rs, p.tfwd, p.v, p.prm)
-	} else {
-		b, err = runWith(&p.rs, p.fwd, p.v, p.prm)
-	}
+	p.trc.Reset()
+	b, err := runWith(&p.rs, p.fwd, p.v, p.prm)
 	if err != nil {
 		return nil, Breakdown{}, err
 	}
@@ -171,12 +163,7 @@ func (p *Plan) Forward(slab []complex128) ([]complex128, Breakdown, error) {
 // Trace returns the StepEvent timeline of the most recent execution, or
 // nil when the plan was built without WithTrace. The slice is only valid
 // until the next execution.
-func (p *Plan) Trace() []StepEvent {
-	if p.trc == nil {
-		return nil
-	}
-	return p.trc.events
-}
+func (p *Plan) Trace() []StepEvent { return p.trc.Events() }
 
 // Backward executes one inverse transform. slab is this rank's y-slab in
 // the plan's forward output layout (consumed); the returned x-slab (x-y-z
@@ -190,19 +177,15 @@ func (p *Plan) Backward(slab []complex128) ([]complex128, Breakdown, error) {
 		return nil, Breakdown{}, fmt.Errorf("pfft: backward transform does not support the %v comparison model", p.v)
 	}
 	if p.bwd == nil {
-		eopts := p.engineOpts()
-		if p.trc != nil {
-			eopts = append(eopts, withTraceRec(p.trc))
-		}
-		e, err := newBackEngine(p.comm, p.g, p.flag, eopts...)
+		e, err := newBackEngine(p.comm, p.g, p.flag, p.engineOpts()...)
 		if err != nil {
 			return nil, Breakdown{}, err
 		}
 		e.presizeSlots(p.prm)
 		p.bwd = e
 	}
-	p.trc.reset()
-	b, err := p.bwd.run(&p.brs, slab, p.v, p.prm)
+	p.trc.Reset()
+	b, err := p.bwd.run(&p.bpl, slab, p.v, p.prm)
 	if err != nil {
 		return nil, Breakdown{}, err
 	}

@@ -49,7 +49,7 @@ type span struct {
 // kernelPool fans the intra-rank tile kernels (FFTy/Pack/Unpack/FFTx
 // sub-tiles, FFTz rows, transpose planes) across a bounded set of worker
 // goroutines. The parallelism lives entirely inside one Engine sub-tile
-// call, between two doTests calls, so the tuned Fy/Fp/Fu/Fx manual
+// call, between two Poll calls, so the tuned Fy/Fp/Fu/Fx manual
 // progression cadence is unchanged: Test still fires exactly where
 // Algorithms 2–3 place it, just after a sub-tile that completed faster.
 type kernelPool struct {

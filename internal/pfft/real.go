@@ -14,15 +14,6 @@ type EngineOpt func(*engineConfig)
 type engineConfig struct {
 	workers int
 	pooled  bool
-	trace   *traceRec
-}
-
-// withTraceRec attaches a step recorder to the engine. The forward
-// pipeline traces by wrapping the whole Engine in a TraceEngine; the
-// backward engine implements no Engine interface, so it records into the
-// shared recorder directly at its breakdown timing points.
-func withTraceRec(rec *traceRec) EngineOpt {
-	return func(c *engineConfig) { c.trace = rec }
 }
 
 // WithEngineWorkers fans the intra-rank kernels (FFTz, Transpose, FFTy,
@@ -278,13 +269,6 @@ func (e *RealEngine) PostTile(slot int, ztl int) mpi.Request {
 	e.g.SendCounts(ztl, e.sendCounts)
 	e.g.RecvCounts(ztl, e.recvCounts)
 	return e.comm.Ialltoallv(e.sendBuf(slot, ztl), e.sendCounts, e.recvBuf(slot, ztl), e.recvCounts)
-}
-
-// AlltoallTile performs the blocking all-to-all for the slot's tile.
-func (e *RealEngine) AlltoallTile(slot int, ztl int) {
-	e.g.SendCounts(ztl, e.sendCounts)
-	e.g.RecvCounts(ztl, e.recvCounts)
-	e.comm.Alltoallv(e.sendBuf(slot, ztl), e.sendCounts, e.recvBuf(slot, ztl), e.recvCounts)
 }
 
 // UnpackSub unpacks one sub-tile from the slot's receive buffer into the

@@ -152,7 +152,7 @@ func TestPlanTraceBlocking(t *testing.T) {
 }
 
 // TestPlanTraceBackwardBlocking covers the backward engine's blocking
-// pipeline (runBlocking) under trace.
+// blocking mode under trace.
 func TestPlanTraceBackwardBlocking(t *testing.T) {
 	traces := planTraces(t, 8, 2, Baseline, true)
 	seen := map[string]bool{}

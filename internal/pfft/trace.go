@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"offt/internal/layout"
 	"offt/internal/mpi"
 )
 
@@ -18,38 +17,43 @@ type StepEvent struct {
 	Tile       int // communication tile index, −1 when not applicable
 }
 
-// traceRec accumulates one rank's StepEvents. It is shared between the
-// TraceEngine wrapper (forward pipelines), the backward engine and the
-// traceComm communicator wrapper, so a single recorder captures a whole
-// plan execution across directions. A nil *traceRec is the disabled
-// recorder: every method is a no-op behind one nil check.
+// Recorder accumulates one rank's StepEvents. A plan hands one recorder
+// to its pipelines and stages, so a single recorder captures a whole
+// execution across directions and exchange phases. A nil *Recorder is the
+// disabled recorder: every method is a no-op behind one nil check.
 //
-// Recording happens at the pipeline layer (fftyPack, runOverlapped, the
-// backward engine), which brackets every kernel and communication call
-// with Comm.Now() pairs for the Breakdown anyway: events reuse those
-// timestamps, so a traced execution reads the clock exactly as often as
-// an untraced one. The pipelines also know each event's tile index
-// directly (posts and waits retire in ascending tile order), which is
+// Recording reuses the Comm.Now() pairs that bracket every kernel and
+// communication call for the Breakdown anyway, so a traced execution
+// reads the clock exactly as often as an untraced one. Events carry their
+// tile index (posts and waits retire in ascending tile order), which is
 // what lets the timeline exporter draw a flow arrow from each Ialltoall
 // to the Wait that retires it.
-type traceRec struct {
+type Recorder struct {
 	events []StepEvent
+	base   int // added to every tile index ≥ 0 (see SetTileBase)
 }
 
-func (r *traceRec) add(name string, start, end int64, tile int) {
+// Add records one interval.
+func (r *Recorder) Add(name string, start, end int64, tile int) {
 	if r == nil {
 		return
+	}
+	if tile >= 0 {
+		tile += r.base
 	}
 	r.events = append(r.events, StepEvent{Name: name, Start: start, End: end, Tile: tile})
 }
 
-// addTestBurst records one polling burst as a single Test event,
-// coalescing with an immediately preceding Test event. The overlapped
-// pipeline polls the transport between kernel calls, and recording every
-// poll separately floods the timeline (and the request-span exporter)
-// with hundreds of near-zero intervals; one event per burst preserves
-// the polling extent at a fraction of the recording cost.
-func (r *traceRec) addTestBurst(start, end int64) {
+// Instant records a zero-length event.
+func (r *Recorder) Instant(name string, now int64, tile int) { r.Add(name, now, now, tile) }
+
+// testBurst records one polling burst as a single Test event, coalescing
+// with an immediately preceding Test event. The overlapped pipeline polls
+// the transport between kernel calls, and recording every poll separately
+// floods the timeline (and the request-span exporter) with hundreds of
+// near-zero intervals; one event per burst preserves the polling extent
+// at a fraction of the recording cost.
+func (r *Recorder) testBurst(start, end int64) {
 	if r == nil {
 		return
 	}
@@ -60,176 +64,40 @@ func (r *traceRec) addTestBurst(start, end int64) {
 	r.events = append(r.events, StepEvent{Name: "Test", Start: start, End: end, Tile: -1})
 }
 
-func (r *traceRec) instant(name string, now int64, tile int) {
+// SetTileBase offsets the tile indices of later events by base, so a
+// transform with several exchange phases numbers each phase's tiles after
+// the previous phase's and post/wait pairs stay unique per execution.
+func (r *Recorder) SetTileBase(base int) {
+	if r != nil {
+		r.base = base
+	}
+}
+
+// Reset discards recorded events and the tile base, keeping the storage.
+func (r *Recorder) Reset() {
+	if r != nil {
+		r.events = r.events[:0]
+		r.base = 0
+	}
+}
+
+// Events returns the events recorded since the last Reset. The slice
+// aliases the recorder's storage and is valid until the next Reset.
+func (r *Recorder) Events() []StepEvent {
 	if r == nil {
-		return
-	}
-	r.events = append(r.events, StepEvent{Name: name, Start: now, End: now, Tile: tile})
-}
-
-func (r *traceRec) reset() {
-	if r == nil {
-		return
-	}
-	r.events = r.events[:0]
-}
-
-// recOf returns the recorder behind a tracing communicator, or nil (the
-// disabled recorder) for any other communicator. Pipeline code calls it
-// once per run and then records unconditionally.
-func recOf(c mpi.Comm) *traceRec {
-	if tc, ok := c.(*traceComm); ok {
-		return tc.rec
-	}
-	return nil
-}
-
-// TraceEngine marks an Engine for step recording, reconstructing the
-// paper's Fig. 3 view of how computation on some tiles overlaps
-// communication on others. It does not time anything itself: its Comm()
-// returns a recording communicator (traceComm), and the pipeline layer —
-// which brackets every kernel and communication call with Comm.Now()
-// pairs for the Breakdown regardless — records events through it with
-// those same timestamps. Kernel methods forward untouched, so tracing
-// adds no clock reads to the execution's critical path.
-type TraceEngine struct {
-	Inner Engine
-	rec   *traceRec
-	clock mpi.Comm // inner communicator, for NoteDowngrade instants
-}
-
-// NewTraceEngine wraps inner, deriving tile indices from tile starts using
-// the tiling of parameter T.
-func NewTraceEngine(inner Engine, prm Params) *TraceEngine {
-	return newTraceEngineRec(inner, prm, &traceRec{})
-}
-
-// newTraceEngineRec wraps inner recording into an existing recorder (how a
-// Plan shares one recorder between forward and backward executions).
-func newTraceEngineRec(inner Engine, prm Params, rec *traceRec) *TraceEngine {
-	return &TraceEngine{
-		Inner: inner,
-		rec:   rec,
-		clock: inner.Comm(),
-	}
-}
-
-var _ Engine = (*TraceEngine)(nil)
-
-// Events returns the events recorded so far. The slice aliases the
-// recorder's backing store; copy it before the next Reset/run if kept.
-func (t *TraceEngine) Events() []StepEvent {
-	if t.rec == nil {
 		return nil
 	}
-	return t.rec.events
+	return r.events
 }
 
-// Reset discards recorded events so the engine can trace another run.
-func (t *TraceEngine) Reset() { t.rec.reset() }
-
-// Grid returns the inner engine's geometry.
-func (t *TraceEngine) Grid() layout.Grid { return t.Inner.Grid() }
-
-// Comm returns the recording communicator the pipeline layer records
-// step events through (see recOf).
-func (t *TraceEngine) Comm() mpi.Comm { return &traceComm{Comm: t.Inner.Comm(), rec: t.rec} }
-
-// FFTz forwards (recorded by the pipeline).
-func (t *TraceEngine) FFTz() { t.Inner.FFTz() }
-
-// Transpose forwards (recorded by the pipeline).
-func (t *TraceEngine) Transpose(fast, optimized bool) { t.Inner.Transpose(fast, optimized) }
-
-// FFTySub forwards (recorded by the pipeline).
-func (t *TraceEngine) FFTySub(fast bool, zt0, z0, z1, x0, x1 int) {
-	t.Inner.FFTySub(fast, zt0, z0, z1, x0, x1)
-}
-
-// PackSub forwards (recorded by the pipeline).
-func (t *TraceEngine) PackSub(slot int, fast bool, zt0, ztl, z0, z1, x0, x1 int) {
-	t.Inner.PackSub(slot, fast, zt0, ztl, z0, z1, x0, x1)
-}
-
-// PostTile forwards (recorded by the pipeline).
-func (t *TraceEngine) PostTile(slot int, ztl int) mpi.Request {
-	return t.Inner.PostTile(slot, ztl)
-}
-
-// AlltoallTile forwards (recorded by the pipeline).
-func (t *TraceEngine) AlltoallTile(slot int, ztl int) {
-	t.Inner.AlltoallTile(slot, ztl)
-}
-
-// UnpackSub forwards (recorded by the pipeline).
-func (t *TraceEngine) UnpackSub(slot int, fast bool, zt0, ztl, z0, z1, y0, y1 int) {
-	t.Inner.UnpackSub(slot, fast, zt0, ztl, z0, z1, y0, y1)
-}
-
-// FFTxSub forwards (recorded by the pipeline).
-func (t *TraceEngine) FFTxSub(fast bool, zt0, z0, z1, y0, y1 int) {
-	t.Inner.FFTxSub(fast, zt0, z0, z1, y0, y1)
-}
-
-// NoteDowngrade records an overlapped→blocking downgrade as a zero-length
-// event at the current time, marking the tile whose wait triggered it.
-func (t *TraceEngine) NoteDowngrade(tile int) {
-	t.rec.instant("Downgrade", t.clock.Now(), tile)
-}
-
-// traceComm carries the step recorder down to the pipeline layer, which
-// detects it (recOf, doTests) and records events with the timestamps it
-// already takes for the Breakdown. Wait goes through the embedded
-// communicator untouched — its call sites bracket and record it with
-// tile attribution; only Test and WaitDeadline need explicit forwarding.
-type traceComm struct {
-	mpi.Comm
-	rec *traceRec
-}
-
-// Test records a single poll as a one-poll burst. The pipeline's hot
-// polling loop (doTests) bypasses this wrapper and records its whole
-// burst with timestamps it already takes for the Breakdown; this path
-// serves direct callers outside that loop.
-func (c *traceComm) Test(reqs ...mpi.Request) bool {
-	start := c.Comm.Now()
-	ok := c.Comm.Test(reqs...)
-	c.rec.addTestBurst(start, c.Comm.Now())
-	return ok
-}
-
-// WaitDeadline forwards the inner communicator's soft-deadline wait (the
-// downgrade trigger). An embedded interface would hide the capability
-// from type assertions, so the forwarding is explicit; without it the
-// fallback is a plain Wait.
-func (c *traceComm) WaitDeadline(reqs ...mpi.Request) error {
-	dw, ok := c.Comm.(mpi.DeadlineWaiter)
-	if !ok {
-		c.Comm.Wait(reqs...)
-		return nil
-	}
-	return dw.WaitDeadline(reqs...)
-}
-
-// TransportHealth forwards the inner communicator's recovery counters
-// (zero when the engine does not track any).
-func (c *traceComm) TransportHealth() mpi.Health {
-	if hr, ok := c.Comm.(mpi.HealthReporter); ok {
-		return hr.TransportHealth()
-	}
-	return mpi.Health{}
-}
-
-// SetExchange forwards the schedule selection to the inner communicator
-// and records it, so exported timelines can attribute Post/Wait spans to
-// the exchange algorithm that produced them. Embedding hides the inner
-// engine's ExchangeSetter from type assertions, so the forwarding is
-// explicit.
-func (c *traceComm) SetExchange(ex mpi.Exchange) {
-	applied := mpi.SetExchange(c.Comm, ex)
-	// Default pairwise stays silent so untuned timelines are unchanged.
-	if applied && ex.Alg != mpi.CommPairwise {
-		c.rec.instant("Comm="+ex.Alg.String(), c.Comm.Now(), -1)
+// selectExchange selects the tuned all-to-all schedule for every exchange
+// of a run on c and, on a traced run, records a non-default selection so
+// exported timelines can attribute post/wait spans to the schedule.
+// Engines without an ExchangeSetter (the single-rank self communicator)
+// are pairwise-equivalent, so the no-op is fine.
+func selectExchange(c mpi.Comm, alg mpi.CommAlg, rec *Recorder) {
+	if mpi.SetExchange(c, mpi.Exchange{Alg: alg}) && alg != mpi.CommPairwise {
+		rec.Instant("Comm="+alg.String(), c.Now(), -1)
 	}
 }
 

@@ -9,7 +9,9 @@ import (
 	"offt/internal/mpi/mem"
 )
 
-func TestTraceEngineRecordsAndPreservesResult(t *testing.T) {
+// TestPlanTraceRecordsAndPreservesResult: a WithTrace plan records every
+// pipeline step and still produces the untraced result.
+func TestPlanTraceRecordsAndPreservesResult(t *testing.T) {
 	nx, p := 12, 3
 	full := randCube(nx, nx, nx, 31)
 	want := serialReference(full, nx, nx, nx)
@@ -22,17 +24,17 @@ func TestTraceEngineRecordsAndPreservesResult(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		prm := DefaultParams(g)
-		inner, err := NewRealEngine(g, c, layout.ScatterX(full, g), fft.Forward, fft.Estimate)
+		pl, err := NewPlan(c, g, NEW, DefaultParams(g), fft.Estimate, WithTrace())
 		if err != nil {
 			panic(err)
 		}
-		te := NewTraceEngine(inner, prm)
-		if _, err := Run(te, NEW, prm); err != nil {
+		defer pl.Close()
+		out, _, err := pl.Forward(layout.ScatterX(full, g))
+		if err != nil {
 			panic(err)
 		}
-		outs[c.Rank()] = inner.Output()
-		traces[c.Rank()] = te.Events()
+		outs[c.Rank()] = append([]complex128(nil), out...)
+		traces[c.Rank()] = append([]StepEvent(nil), pl.Trace()...)
 	})
 	if err != nil {
 		t.Fatal(err)

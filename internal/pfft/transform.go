@@ -44,10 +44,3 @@ func ForwardTH3D(c mpi.Comm, g layout.Grid, slab []complex128, prm THParams, fla
 	}
 	return e.Output(), b, nil
 }
-
-// NewForwardEngine builds a real engine for a forward run with Estimate
-// planning — a convenience for tools that wrap the engine (e.g. with
-// NewTraceEngine) before calling Run themselves.
-func NewForwardEngine(g layout.Grid, c mpi.Comm, slab []complex128) (*RealEngine, error) {
-	return NewRealEngine(g, c, slab, fft.Forward, fft.Estimate)
-}

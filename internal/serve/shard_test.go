@@ -178,8 +178,14 @@ func TestShardForwardsToOwner(t *testing.T) {
 	if got := hdr.Get("X-Request-Id"); got != reqID {
 		t.Fatalf("X-Request-Id not echoed across the hop: %q", got)
 	}
-	if rec := srvs[1].Flight().Get(reqID); rec == nil {
-		t.Fatalf("owner's flight recorder has no record for %s: trace context was dropped", reqID)
+	// The owner files its flight record in the handler's deferred finish,
+	// after the response body is written, so the relayed response can
+	// reach the client first.
+	for deadline := time.Now().Add(2 * time.Second); srvs[1].Flight().Get(reqID) == nil; {
+		if time.Now().After(deadline) {
+			t.Fatalf("owner's flight recorder has no record for %s: trace context was dropped", reqID)
+		}
+		time.Sleep(time.Millisecond)
 	}
 	if srvs[1].shard.localC.Value() == 0 {
 		t.Fatal("owner did not count the forwarded request as local work")
